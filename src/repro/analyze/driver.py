@@ -9,6 +9,10 @@ document).  A CM Fortran source contributes twice: the IR pass runs over
 its lowering output, and the PIF generated from its listing is folded
 into the static context so traces of the program can be sanitized
 against it.
+
+Each input kind imports only the layers it runs: the compiler and PIF
+generator for CM Fortran sources, the MDL library and CMRTS vocabulary
+for MDL inputs, the trace reader and sanitizer for traces.
 """
 
 from __future__ import annotations
@@ -17,21 +21,12 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from ..cmfortran import compile_source
-from ..cmrts.dispatch import POINTS
-from ..cmrts.nv import standard_vocabulary
-from ..mdl.library import standard_metrics
-from ..mdl.parser import parse_mdl
-from ..pif import generate_pif
-from ..pif import load as load_pif
+from ..pif.format import load as load_pif
 from ..pif.records import PIFDocument
-from .cmfpass import analyze_program
 from .deadq import analyze_document_questions
 from .diagnostics import Diagnostic, Severity, counts, diag, max_severity
 from .flow import analyze_flow
-from .mdlpass import analyze_mdl
 from .nv import analyze_pif, merge_documents
-from .sanitize import sanitize_trace
 
 __all__ = [
     "LintResult",
@@ -155,7 +150,37 @@ def lint_paths(
         docs.append((path, doc))
         pif_docs.append((path, doc))
 
-    for path in by_kind["cmf"]:
+    if by_kind["cmf"]:
+        docs.extend(_lint_cmf(out, by_kind["cmf"], deep))
+
+    # Explicit PIF inputs assert one shared mapping universe, so cross-file
+    # redefinition conflicts between them are reportable; compiler-generated
+    # documents are per-program namespaces and merge is not attempted.
+    if len(pif_docs) > 1:
+        _merged, merge_diags = merge_documents(pif_docs)
+        out.extend(merge_diags)
+
+    # ---- MDL, checked against PIF vocabulary + the standard CMRTS world
+    if mdl_library or by_kind["mdl"]:
+        _lint_mdl(result, by_kind["mdl"], docs, mdl_library, deep)
+
+    # ---- traces, sanitized against every static document
+    if by_kind["rtrc"]:
+        _lint_traces(out, by_kind["rtrc"], [doc for _path, doc in docs], jobs)
+
+    return result
+
+
+def _lint_cmf(
+    out: list[Diagnostic], paths: list[str], deep: bool
+) -> list[tuple[str, PIFDocument]]:
+    """IR pass plus PIF passes over each source's generated PIF."""
+    from ..cmfortran.program import compile_source
+    from ..pif.generator import generate_pif
+    from .cmfpass import analyze_program
+
+    docs: list[tuple[str, PIFDocument]] = []
+    for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
                 source = fh.read()
@@ -178,15 +203,23 @@ def lint_paths(
             out.extend(analyze_flow(generated, path).diagnostics)
             out.extend(analyze_document_questions(generated, path))
         docs.append((path, generated))
+    return docs
 
-    # Explicit PIF inputs assert one shared mapping universe, so cross-file
-    # redefinition conflicts between them are reportable; compiler-generated
-    # documents are per-program namespaces and merge is not attempted.
-    if len(pif_docs) > 1:
-        _merged, merge_diags = merge_documents(pif_docs)
-        out.extend(merge_diags)
 
-    # ---- MDL, checked against PIF vocabulary + the standard CMRTS world
+def _lint_mdl(
+    result: LintResult,
+    paths: list[str],
+    docs: list[tuple[str, PIFDocument]],
+    mdl_library: bool,
+    deep: bool,
+) -> None:
+    """MDL inputs (and the Figure-9 library) against the known vocabulary."""
+    from ..cmrts.nv import POINTS, standard_vocabulary
+    from ..mdl.library import standard_metrics
+    from ..mdl.parser import parse_mdl
+    from .mdlpass import analyze_mdl
+
+    out = result.diagnostics
     vocab = standard_vocabulary()
     known_verbs = {v.name for lv in vocab.levels() for v in vocab.verbs_at(lv.name)}
     known_verbs |= {d.name for _p, doc in docs for d in doc.verbs}
@@ -197,7 +230,7 @@ def lint_paths(
     if mdl_library:
         mdl_inputs.append((LIBRARY_PATH, list(standard_metrics().values())))
         result.inputs.append(LIBRARY_PATH)
-    for path in by_kind["mdl"]:
+    for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
                 metrics = parse_mdl(fh.read())
@@ -217,19 +250,24 @@ def lint_paths(
             )
         )
 
-    # ---- traces, sanitized against every static document
-    static_docs = [doc for _path, doc in docs]
-    for path in by_kind["rtrc"]:
-        try:
-            from ..trace import open_trace
 
+def _lint_traces(
+    out: list[Diagnostic],
+    paths: list[str],
+    static_docs: list[PIFDocument],
+    jobs: int | None,
+) -> None:
+    """Sanitize each recorded run against the static documents."""
+    from ..trace import open_trace
+    from .sanitize import sanitize_trace
+
+    for path in paths:
+        try:
             reader = open_trace(path)
         except Exception as exc:
             out.append(diag("NV000", f"cannot read trace: {exc}", path))
             continue
         out.extend(sanitize_trace(reader, static_docs, path, jobs=jobs))
-
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..core import Sentence
-from ..pif.records import PIFDocument
+from ..pif.records import PIFDocument, ResolutionError
 from ..trace.retro import sentence_intervals
 from .diagnostics import Diagnostic, diag
 
@@ -50,8 +50,11 @@ def builtin_level_ranks() -> dict[str, int]:
 def _static_edges(doc: PIFDocument) -> list[tuple[Sentence, Sentence]]:
     """Resolved (source, destination) pairs of the document's mappings.
 
-    Unresolvable records are skipped -- analyze_pif already reported them
-    as NV005; the sanitizer works with whatever survives.
+    Unresolvable records -- an undefined or ambiguous name
+    (:class:`ResolutionError`), a name missing from the built vocabulary
+    (``KeyError``) -- are skipped: analyze_pif already reported them as
+    NV005; the sanitizer works with whatever survives.  Anything else the
+    resolver raises is a defect and propagates.
     """
     if not doc.mappings:
         return []
@@ -64,7 +67,7 @@ def _static_edges(doc: PIFDocument) -> list[tuple[Sentence, Sentence]]:
         try:
             src = doc.resolve_sentence(vocab, md.source)
             dst = doc.resolve_sentence(vocab, md.destination)
-        except Exception:
+        except (ResolutionError, KeyError):
             continue
         edges.append((src, dst))
     return edges

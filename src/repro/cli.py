@@ -17,6 +17,9 @@ Usage::
 
 Exit codes: 0 success, 1 findings/divergence at or above the requested
 threshold, 2 usage or input errors.
+
+Each command handler imports the layers it runs, so ``repro trace info``
+never loads the compiler, numpy or the simulated machine.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-from .cmfortran import compile_source
-from .cmrts import run_program
-from .mdl import FIGURE9_ROWS, standard_metrics
-from .paradyn import Paradyn, PerformanceConsultant, text_table
-from .pif import dumps as pif_dumps, generate_pif
 
 __all__ = ["main", "build_parser"]
 
@@ -371,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, optimize: bool = True):
+    from .cmfortran.program import compile_source
+
     source = Path(path).read_text(encoding="utf-8")
     return compile_source(source, source_file=path, optimize=optimize)
 
@@ -404,12 +403,16 @@ def _cmd_compile(args) -> int:
         Path(args.listing).write_text(program.listing, encoding="utf-8")
         print(f"listing written to {args.listing}")
     if args.pif:
+        from .pif import dumps as pif_dumps, generate_pif
+
         Path(args.pif).write_text(pif_dumps(generate_pif(program.listing)), encoding="utf-8")
         print(f"PIF written to {args.pif}")
     return 0
 
 
 def _cmd_run(args) -> int:
+    from .cmrts.runtime import run_program
+
     program = _load(args.file)
     runtime = run_program(program, num_nodes=args.nodes)
     print(f"completed in {runtime.elapsed * 1e3:.4f} virtual ms on {args.nodes} nodes")
@@ -421,6 +424,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .paradyn.tool import Paradyn
+    from .paradyn.visualize import text_table
+
     program = _load(args.file)
     tool = Paradyn.for_program(program, num_nodes=args.nodes)
     for spec in args.metric:
@@ -447,6 +453,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_consultant(args) -> int:
+    from .paradyn.consultant import PerformanceConsultant
+
     program = _load(args.file)
     consultant = PerformanceConsultant(
         program, num_nodes=args.nodes, threshold=args.threshold
@@ -457,6 +465,9 @@ def _cmd_consultant(args) -> int:
 
 
 def _cmd_metrics(_args) -> int:
+    from .mdl.library import FIGURE9_ROWS, standard_metrics
+    from .paradyn.visualize import text_table
+
     library = standard_metrics()
     rows = [
         (level, name, library[name].style, library[name].units, library[name].description)
@@ -486,7 +497,7 @@ def _cmd_sweep(args) -> int:
     import json
     import time as _time
 
-    from .paradyn import text_table
+    from .paradyn.visualize import text_table
     from .sweep import SweepRunner, build_grid, fingerprint
 
     def ints(text: str) -> tuple[int, ...]:
@@ -548,8 +559,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_fuzz(args) -> int:
     import numpy as np
 
-    from .cmfortran import interpret
-    from .cmrts import run_program
+    from .cmfortran.interp import interpret
+    from .cmfortran.program import compile_source
+    from .cmrts.runtime import run_program
     from .workloads import random_program
     from .workloads.fuzz import FuzzConfig
 
@@ -801,7 +813,9 @@ def _trace_diff(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analyze import Severity, format_json, format_sarif, format_text, lint_paths
+    from .analyze.diagnostics import Severity
+    from .analyze.driver import format_json, format_text, lint_paths
+    from .analyze.sarif import format_sarif
 
     result = lint_paths(
         args.files, mdl_library=args.mdl_library, jobs=args.jobs, deep=args.deep
@@ -812,8 +826,9 @@ def _cmd_lint(args) -> int:
 
 
 def _mapc_check(args) -> int:
-    from .analyze import LintResult, Severity, format_json, format_sarif
-    from .analyze.diagnostics import counts
+    from .analyze.diagnostics import Severity, counts
+    from .analyze.driver import LintResult, format_json
+    from .analyze.sarif import format_sarif
     from .mapdsl import check_map
 
     results = [
@@ -838,10 +853,10 @@ def _mapc_check(args) -> int:
 
 
 def _mapc_build(args) -> int:
-    from .analyze import Severity
+    from .analyze.diagnostics import Severity
     from .mapdsl import check_map
     from .mdl import dumps_mdl
-    from .pif import dumps as pif_dumps_text
+    from .pif import dumps as pif_dumps
 
     result = check_map(Path(args.file).read_text(encoding="utf-8"), args.file)
     threshold = Severity.parse(args.fail_on)
@@ -855,13 +870,13 @@ def _mapc_build(args) -> int:
     elab = result.elaborated
     doc = elab.document
     if args.pif:
-        Path(args.pif).write_text(pif_dumps_text(doc), encoding="utf-8")
+        Path(args.pif).write_text(pif_dumps(doc), encoding="utf-8")
         print(f"PIF written to {args.pif}")
     if args.mdl:
         Path(args.mdl).write_text(dumps_mdl(elab.metrics), encoding="utf-8")
         print(f"MDL written to {args.mdl} ({len(elab.metrics)} metric(s))")
     if not args.pif and not args.mdl:
-        print(pif_dumps_text(doc), end="")
+        print(pif_dumps(doc), end="")
         return 0
     print(
         f"compiled {args.file}: {len(doc.levels)} level(s), {len(doc.nouns)} noun(s), "

@@ -23,6 +23,7 @@ __all__ = [
     "CMF_VERBS",
     "CMRTS_VERBS",
     "BASE_VERBS",
+    "POINTS",
     "standard_vocabulary",
     "line_noun",
     "array_noun",
@@ -65,6 +66,26 @@ BASE_VERBS = (
     Verb("Send", "Base", "low-level message send"),
     Verb("Receive", "Base", "low-level message receive"),
     Verb("CPUUtilization", "Base", "units are % CPU"),
+)
+
+#: Every instrumentation point the CMRTS runtime exposes (entry+exit each,
+#: except the pure-count points marked "entry only" in their description).
+#: The dispatcher (:mod:`.dispatch`) fires them; they live here, beside the
+#: vocabulary, so the static analyzers can check against them without numpy.
+POINTS = (
+    "cmrts.idle",  # waiting for the control processor
+    "cmrts.node_activation",  # dispatch received (entry only)
+    "cmrts.argument_processing",  # unpacking broadcast arguments
+    "cmrts.broadcast",  # broadcast reception (entry only)
+    "cmrts.cleanup",  # vector-unit reset
+    "cmrts.compute",  # elementwise node computation
+    "cmrts.reduce",  # local reduce + global combine
+    "cmrts.shift",  # CSHIFT/EOSHIFT remap
+    "cmrts.transpose",  # all-to-all transpose
+    "cmrts.scan",  # prefix scan
+    "cmrts.sort",  # parallel sample sort
+    "cmrts.p2p",  # each point-to-point send (entry/exit around occupation)
+    "cmrts.block",  # whole node-code-block execution
 )
 
 #: verb name for each transform/reduce kind the compiler produces

@@ -18,15 +18,9 @@ from typing import Generator, Mapping
 
 import numpy as np
 
-from ..cmfortran import (
-    CompiledProgram,
-    DispatchStep,
-    LocalReduce,
-    LoopStep,
-    PlanStep,
-    ScalarStep,
-    eval_expr,
-)
+from ..cmfortran.intrinsics import eval_expr
+from ..cmfortran.ir import DispatchStep, LocalReduce, LoopStep, PlanStep, ScalarStep
+from ..cmfortran.program import CompiledProgram
 from ..machine import Machine, MachineConfig
 from .alloc import AllocationManager
 from .dispatch import NodeWorker

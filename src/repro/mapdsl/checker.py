@@ -142,9 +142,6 @@ def check_map(source: str, path: str = "<map>", deep: bool = False) -> CheckResu
             [diag("NV000", exc.message, path, line=span.line, col=span.col)],
         )
 
-    from ..cmrts.dispatch import POINTS
-    from ..cmrts.nv import standard_vocabulary
-
     out = [_remap(d, elab.source_map, path) for d in analyze_pif(elab.document, path)]
     if deep:
         out.extend(
@@ -157,6 +154,8 @@ def check_map(source: str, path: str = "<map>", deep: bool = False) -> CheckResu
         )
 
     if elab.metrics:
+        from ..cmrts.nv import POINTS, standard_vocabulary
+
         vocab = standard_vocabulary()
         verbs = {v.name for lv in vocab.levels() for v in vocab.verbs_at(lv.name)}
         verbs |= {d.name for d in elab.document.verbs}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cmfortran import CompiledProgram
+from ..cmfortran.program import CompiledProgram
 from .tool import Paradyn
 
 __all__ = ["Hypothesis", "Finding", "PerformanceConsultant"]

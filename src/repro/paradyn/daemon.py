@@ -14,7 +14,7 @@ Data Manager through the same interface.
 
 from __future__ import annotations
 
-from ..cmrts import AllocationEvent
+from ..cmrts.alloc import AllocationEvent
 from ..core import ActiveSentenceSet, Mapping
 from ..pif import PIFDocument
 from .datamgr import DataManager

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..cmrts import AllocationEvent, standard_vocabulary
+from ..cmrts.alloc import AllocationEvent
+from ..cmrts.nv import standard_vocabulary
 from ..core import (
     AssignmentPolicy,
     Attribution,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cmrts import CMRTSRuntime
+from ..cmrts.runtime import CMRTSRuntime
 from ..core import PerformanceQuestion, SentencePattern
 from ..instrument import (
     AndPredicate,

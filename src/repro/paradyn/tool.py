@@ -21,8 +21,9 @@ from typing import Mapping as TMapping
 
 import numpy as np
 
-from ..cmfortran import CompiledProgram
-from ..cmrts import CMRTSRuntime, POINTS, RuntimeConfig, standard_vocabulary
+from ..cmfortran.program import CompiledProgram
+from ..cmrts.nv import POINTS, standard_vocabulary
+from ..cmrts.runtime import CMRTSRuntime, RuntimeConfig
 from ..core import (
     CPU_TIME,
     ActiveSentenceSet,

@@ -147,6 +147,51 @@ def test_static_path_rescues_non_coactive_sentence():
     assert [d.code for d in diags] == []
 
 
+_APP_BASE_PIF = (
+    "LEVEL\nname = App\nrank = 1\n\nLEVEL\nname = Base\nrank = 0\n\n"
+    "NOUN\nname = worker\nabstraction = Base\n\n"
+    "NOUN\nname = request\nabstraction = App\n\n"
+    "VERB\nname = Runs\nabstraction = Base\n\n"
+    "VERB\nname = Acts\nabstraction = App\n\n"
+)
+
+
+def _non_coactive_events():
+    worker_runs = Sentence(Verb("Runs", "Base"), (Noun("worker", "Base"),))
+    request_acts = Sentence(Verb("Acts", "App"), (Noun("request", "App"),))
+    return [
+        SentenceEvent(0.0, EventKind.ACTIVATE, request_acts),
+        SentenceEvent(1.0, EventKind.DEACTIVATE, request_acts),
+        SentenceEvent(2.0, EventKind.ACTIVATE, worker_runs),
+        SentenceEvent(3.0, EventKind.DEACTIVATE, worker_runs),
+    ]
+
+
+def test_mapping_with_undefined_name_is_skipped():
+    # the ghost record cannot resolve (NV005 territory); the sanitizer
+    # skips it and still uses the resolvable mapping beside it
+    doc = loads(
+        _APP_BASE_PIF
+        + "MAPPING\nsource = {ghost, Runs}\ndestination = {request, Acts}\n\n"
+        + "MAPPING\nsource = {worker, Runs}\ndestination = {request, Acts}\n"
+    )
+    assert sanitize_trace(_non_coactive_events(), doc, "t.rtrc") == []
+
+
+def test_unexpected_resolver_failure_propagates(monkeypatch):
+    from repro.pif import PIFDocument
+
+    def broken(self, vocab, ref):
+        raise RuntimeError("resolver defect")
+
+    monkeypatch.setattr(PIFDocument, "resolve_sentence", broken)
+    doc = loads(
+        _APP_BASE_PIF + "MAPPING\nsource = {worker, Runs}\ndestination = {request, Acts}\n"
+    )
+    with pytest.raises(RuntimeError, match="resolver defect"):
+        sanitize_trace(_non_coactive_events(), doc, "t.rtrc")
+
+
 @pytest.mark.skipif(not FIG6.exists(), reason="sample trace not present")
 def test_lint_paths_fig6_acceptance(tmp_path):
     # the full driver path: fragment source + generated PIF + sample trace
