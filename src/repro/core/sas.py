@@ -28,16 +28,19 @@ Key behaviours reproduced here:
 
 Two engines implement these semantics:
 
-* :class:`ActiveSentenceSet` -- the production **indexed** engine.  Watchers
-  are bucketed in an inverted index keyed by each pattern's most selective
-  discriminator (concrete verb, else concrete noun, else level; see
-  :meth:`~repro.core.questions.SentencePattern.index_key`), so a transition
-  notifies only the watchers whose patterns could possibly match, in
-  O(affected) rather than O(watchers x active).  Every watcher keeps
-  incremental state -- per-component counts for conjunction questions,
-  a flattened boolean tree with per-leaf counts for :class:`QExpr`
-  questions, a time-sorted relevant-activation list for
-  :class:`OrderedQuestion` -- so no notification rescans the active set.
+* :class:`ActiveSentenceSet` -- the production **indexed** engine.
+  Conjunction questions are evaluated by *watched component*: one shared,
+  refcounted table holds each canonical component pattern with its count
+  of matching active sentences, an unsatisfied watcher is parked on one
+  zero-count component and a satisfied one is listed under all of its
+  components, so a transition visits only the watchers whose satisfaction
+  it can flip -- however many questions share a component.  :class:`QExpr`
+  and :class:`OrderedQuestion` watchers are bucketed in an inverted index
+  keyed by each pattern's most selective discriminator (see
+  :meth:`~repro.core.questions.SentencePattern.index_key`) and keep
+  incremental state -- a flattened boolean tree with per-leaf counts, a
+  time-sorted relevant-activation list -- so no notification rescans the
+  active set.
 * :class:`NaiveActiveSentenceSet` -- the thin reference implementation that
   re-evaluates every watcher by full scan on every handled notification.
   It exists to be obviously correct: the differential oracle
@@ -211,6 +214,33 @@ class _IncrementalOrdered:
         return self.question._match(self.entries, 0, -float("inf"))
 
 
+#: Bound on the indexed SAS's per-sentence matching-slot cache; a full cache
+#: is cleared and refilled on demand.
+_SLOT_CACHE_MAX = 4096
+
+
+class _PatternSlot:
+    """One canonical component pattern in the indexed SAS's pattern table.
+
+    ``count`` is the number of active member sentences matching
+    ``pattern``; ``refs`` is the number of attached conjunction watchers
+    using it.  Conjunction watchers are filed by *watched component*, the
+    watched-literal scheme of SAT solvers: an unsatisfied watcher is
+    ``parked`` on exactly one of its slots whose count is 0, and a satisfied
+    watcher is ``holding`` every one of its slots.
+    """
+
+    __slots__ = ("pattern", "key", "count", "refs", "parked", "holding")
+
+    def __init__(self, pattern: SentencePattern, count: int) -> None:
+        self.pattern = pattern
+        self.key = pattern.index_key()
+        self.count = count
+        self.refs = 0
+        self.parked: dict[QuestionWatcher, None] = {}
+        self.holding: dict[QuestionWatcher, None] = {}
+
+
 @dataclass(eq=False)
 class QuestionWatcher:
     """Tracks the satisfaction state of one attached question.
@@ -219,14 +249,15 @@ class QuestionWatcher:
     :class:`QExpr`, or an :class:`OrderedQuestion`; all three expose the
     state transitions that instrumentation predicates subscribe to.
 
-    On the indexed engine every question kind is evaluated incrementally
-    (``_seed`` builds the state, ``_update`` applies membership deltas):
-    per-component match counts for conjunction questions, a
-    :class:`_IncrementalExpr` tree for boolean expressions, and a
-    :class:`_IncrementalOrdered` activation list for ordered questions.
-    Notification cost is therefore independent of the SAS size for all
-    three kinds (ablation abl5/abl5b).  The naive engine never seeds any of
-    this and always takes the full-scan ``_update_full`` path.
+    On the indexed engine every question kind is evaluated incrementally: a
+    conjunction watcher holds its distinct component slots in the SAS's
+    shared pattern table (``_slots``, parked on ``_parked`` while
+    unsatisfied); :class:`QExpr` and :class:`OrderedQuestion` watchers keep
+    a :class:`_IncrementalExpr` tree or an :class:`_IncrementalOrdered`
+    activation list (``_seed`` builds it, ``_update`` applies membership
+    deltas).  No notification rescans the active set (ablation
+    abl5/abl5b).  The naive engine never builds any of this and always
+    takes the full-scan ``_update_full`` path.
 
     Watchers compare by identity (``eq=False``) so they can live in index
     buckets and be detached unambiguously.
@@ -241,7 +272,8 @@ class QuestionWatcher:
     def __post_init__(self) -> None:
         self.on_satisfied: list[Callable[[float], None]] = []
         self.on_unsatisfied: list[Callable[[float], None]] = []
-        self._counts: list[int] | None = None
+        self._slots: tuple[_PatternSlot, ...] | None = None
+        self._parked: _PatternSlot | None = None
         self._expr: _IncrementalExpr | None = None
         self._ordered: _IncrementalOrdered | None = None
 
@@ -255,56 +287,26 @@ class QuestionWatcher:
         return q.evaluate(sas.active_sentences())
 
     def _seed(self, sas: "ActiveSentenceSet") -> None:
-        """Build incremental state from the SAS's current membership."""
+        """Build QExpr/ordered incremental state from the SAS's membership."""
         q = self.question
-        if isinstance(q, PerformanceQuestion):
-            snapshot = sas.active_sentences()
-            self._counts = [
-                sum(1 for s in snapshot if p.matches(s)) for p in q.components
-            ]
-        elif isinstance(q, OrderedQuestion):
+        if isinstance(q, OrderedQuestion):
             self._ordered = _IncrementalOrdered(q)
             self._ordered.seed(sas.active_with_times())
         else:
-            self._expr = _IncrementalExpr(q)
+            self._expr = _IncrementalExpr(q)  # type: ignore[arg-type]
             self._expr.seed(sas.active_sentences())
 
-    def _update(
-        self,
-        sas: "ActiveSentenceSet",
-        now: float,
-        sent: Sentence | None = None,
-        became_member: bool | None = None,
-    ) -> None:
-        incremental = (
-            self._counts is not None
-            or self._expr is not None
-            or self._ordered is not None
-        )
-        if sent is not None and incremental:
-            if became_member is None:
-                return  # nested (re-entrant): membership and outermost times unchanged
-            if self._counts is not None:
-                components = self.question.components  # type: ignore[union-attr]
-                delta = 1 if became_member else -1
-                for i, pattern in enumerate(components):
-                    if pattern.matches(sent):
-                        self._counts[i] += delta
-                new = all(c > 0 for c in self._counts)
-            elif self._expr is not None:
-                new = self._expr.update(sent, 1 if became_member else -1)
-            else:
-                assert self._ordered is not None
-                touched = (
-                    self._ordered.add(sent, now)
-                    if became_member
-                    else self._ordered.remove(sent)
-                )
-                if not touched:
-                    return  # irrelevant sentence: satisfaction cannot change
-                new = self._ordered.evaluate()
+    def _update(self, now: float, sent: Sentence, became_member: bool) -> None:
+        """Apply one membership change of ``sent`` to QExpr/ordered state."""
+        if self._expr is not None:
+            new = self._expr.update(sent, 1 if became_member else -1)
         else:
-            new = self._evaluate(sas)
+            ordered = self._ordered
+            assert ordered is not None
+            touched = ordered.add(sent, now) if became_member else ordered.remove(sent)
+            if not touched:
+                return  # irrelevant sentence: satisfaction cannot change
+            new = ordered.evaluate()
         self._apply(new, now)
 
     def _update_full(self, sas: "ActiveSentenceSet", now: float) -> None:
@@ -334,6 +336,11 @@ class QuestionWatcher:
 
 class ActiveSentenceSet:
     """One node's Set of Active Sentences (pattern-indexed engine).
+
+    A membership change updates each conjunction pattern slot it matches
+    once and visits only the watchers filed under a slot that flipped (see
+    :class:`_PatternSlot`); re-entrant (nested) notifications visit no
+    watcher.
 
     Parameters
     ----------
@@ -374,12 +381,23 @@ class ActiveSentenceSet:
         # order; O(1) add/remove keeps notifications off the O(|SAS|) path)
         self._order: dict[Sentence, None] = {}
         self.watchers: list[QuestionWatcher] = []
-        # inverted watcher index: pattern discriminator key -> watcher bucket
-        # (dicts double as insertion-ordered sets); wildcard-only watchers
-        # live in _watch_all and are notified on every transition
+        # inverted index of QExpr and ordered watchers: pattern discriminator
+        # key -> watcher bucket (dicts double as insertion-ordered sets);
+        # wildcard-only watchers live in _watch_all and are notified on every
+        # membership change
         self._watch_index: dict[tuple[str, str], dict[QuestionWatcher, None]] = {}
         self._watch_all: dict[QuestionWatcher, None] = {}
         self._watch_keys: dict[QuestionWatcher, list[tuple[str, str]] | None] = {}
+        # conjunction watchers: canonical component pattern -> refcounted
+        # slot, the slots bucketed by index key (None = wildcard-only), and
+        # a bounded cache of the slots each sentence matches (sentences that
+        # match some slot only), cleared whenever the table changes
+        self._slots: dict[SentencePattern, _PatternSlot] = {}
+        self._slot_index: dict[tuple[str, str] | None, dict[_PatternSlot, None]] = {}
+        self._slot_cache: dict[Sentence, tuple[_PatternSlot, ...]] = {}
+        # the sentence and matching slots of the last affected_watchers()
+        # call, which the transition's count update reuses
+        self._matched: tuple[Sentence | None, tuple[_PatternSlot, ...]] = (None, ())
         self.notifications = 0
         self.ignored_notifications = 0
         # monotonically increasing sequence number of *handled* transitions;
@@ -395,6 +413,12 @@ class ActiveSentenceSet:
     def _tick(self) -> float:
         self._ticks += 1
         return float(self._ticks)
+
+    def _now(self) -> float:
+        """The current time, without advancing the default step clock."""
+        if not self._order:
+            return 0.0
+        return float(self._ticks) if self.clock == self._tick else self.clock()
 
     # ------------------------------------------------------------------
     # notifications from the application / runtime / system layers
@@ -415,6 +439,7 @@ class ActiveSentenceSet:
         now = self.clock()
         stack = self._active.setdefault(sent, [])
         became_member = not stack
+        visit = self.affected_watchers(sent) if became_member else []
         if became_member:
             self._order[sent] = None
             if self.co_active_listeners:
@@ -425,7 +450,7 @@ class ActiveSentenceSet:
         stack.append(now)
         if self.trace is not None:
             self.trace.record(now, EventKind.ACTIVATE, sent, self.node_id)
-        self._update_watchers(now, sent, True if became_member else None)
+        self._update_watchers(now, sent, True if became_member else None, visit)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, True, now)
@@ -443,14 +468,15 @@ class ActiveSentenceSet:
         if not stack:
             raise ValueError(f"deactivate of non-active sentence {sent}")
         now = self.clock()
+        left_membership = len(stack) == 1
+        visit = self.affected_watchers(sent) if left_membership else []
         stack.pop()
-        left_membership = not stack
         if left_membership:
             del self._active[sent]
             del self._order[sent]
         if self.trace is not None:
             self.trace.record(now, EventKind.DEACTIVATE, sent, self.node_id)
-        self._update_watchers(now, sent, False if left_membership else None)
+        self._update_watchers(now, sent, False if left_membership else None, visit)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, False, now)
@@ -509,8 +535,7 @@ class ActiveSentenceSet:
         watcher = QuestionWatcher(question)
         self.watchers.append(watcher)
         self._register_watcher(watcher)
-        self._seed_watcher(watcher)
-        watcher._update(self, self.clock() if self._order else 0.0)
+        watcher._apply(watcher._evaluate(self), self._now())
         return watcher
 
     def detach_question(self, watcher: QuestionWatcher) -> None:
@@ -546,10 +571,19 @@ class ActiveSentenceSet:
     def detach_recorder(self, hook: Callable[[Sentence, bool, float], None]) -> None:
         self.on_transition.remove(hook)
 
-    # -- inverted index hooks (overridden by the naive engine) -----------
+    # -- index hooks (overridden by the naive engine) ----------------------
     def _register_watcher(self, watcher: QuestionWatcher) -> None:
-        patterns = watcher.question.patterns()
-        keys = {p.index_key() for p in patterns}
+        """Index a new watcher and seed its state from current membership."""
+        q = watcher.question
+        if isinstance(q, PerformanceQuestion):
+            canonical = dict.fromkeys(p.canonical() for p in q.components)
+            slots = watcher._slots = tuple(self._acquire_slot(p) for p in canonical)
+            slots[0].parked[watcher] = None
+            watcher._parked = slots[0]
+            self._refile(watcher)
+            return
+        watcher._seed(self)
+        keys = {p.index_key() for p in q.patterns()}
         if None in keys:
             # some pattern has no concrete component: check on every transition
             self._watch_all[watcher] = None
@@ -560,6 +594,16 @@ class ActiveSentenceSet:
         self._watch_keys[watcher] = list(keys)  # type: ignore[arg-type]
 
     def _unregister_watcher(self, watcher: QuestionWatcher) -> None:
+        slots = watcher._slots
+        if slots is not None:
+            if watcher._parked is not None:
+                del watcher._parked.parked[watcher]
+                watcher._parked = None
+            for slot in slots:
+                slot.holding.pop(watcher, None)
+                self._release_slot(slot)
+            watcher._slots = None
+            return
         keys = self._watch_keys.pop(watcher, [])
         if keys is None:
             self._watch_all.pop(watcher, None)
@@ -571,16 +615,97 @@ class ActiveSentenceSet:
                 if not bucket:
                     del self._watch_index[key]
 
-    def _seed_watcher(self, watcher: QuestionWatcher) -> None:
-        watcher._seed(self)
+    def _acquire_slot(self, pattern: SentencePattern) -> _PatternSlot:
+        slot = self._slots.get(pattern)
+        if slot is None:
+            count = sum(1 for s in self._order if pattern.matches(s))
+            slot = self._slots[pattern] = _PatternSlot(pattern, count)
+            self._slot_index.setdefault(slot.key, {})[slot] = None
+            self._slot_cache.clear()
+        slot.refs += 1
+        return slot
+
+    def _release_slot(self, slot: _PatternSlot) -> None:
+        slot.refs -= 1
+        if slot.refs:
+            return
+        del self._slots[slot.pattern]
+        bucket = self._slot_index[slot.key]
+        del bucket[slot]
+        if not bucket:
+            del self._slot_index[slot.key]
+        self._slot_cache.clear()
+
+    def _matching_slots(self, sent: Sentence) -> tuple[_PatternSlot, ...]:
+        """The pattern-table slots whose pattern matches ``sent``.
+
+        A sentence carrying none of the slots' index keys is rejected by a
+        few dict probes and not cached (most traffic, often a fresh object
+        per notification); the matches of the rest are cached per sentence.
+        """
+        index = self._slot_index
+        verb = sent.verb
+        if not (
+            None in index or ("v", verb.name) in index or ("l", verb.abstraction) in index
+        ):
+            for noun in sent.nouns:
+                if ("n", noun.name) in index:
+                    break
+            else:
+                return ()
+        cache = self._slot_cache
+        found = cache.get(sent)
+        if found is None:
+            if len(cache) >= _SLOT_CACHE_MAX:
+                cache.clear()
+            keys = [None, ("v", verb.name), ("l", verb.abstraction)]
+            keys += [("n", noun.name) for noun in sent.nouns]
+            # a sentence naming one noun twice reaches its bucket twice
+            candidates = dict.fromkeys(slot for key in keys for slot in index.get(key, ()))
+            found = cache[sent] = tuple(
+                slot for slot in candidates if slot.pattern.matches(sent)
+            )
+        return found
+
+    def _refile(self, watcher: QuestionWatcher) -> bool:
+        """Re-file a conjunction watcher after its slots' counts changed:
+        parked on its first zero-count slot, else holding every slot.
+        Returns whether it is satisfied."""
+        slots = watcher._slots
+        assert slots is not None
+        parked = watcher._parked
+        for zero in slots:
+            if not zero.count:
+                break
+        else:
+            if parked is not None:
+                del parked.parked[watcher]
+                watcher._parked = None
+                for slot in slots:
+                    slot.holding[watcher] = None
+            return True
+        if parked is zero:
+            return False
+        if parked is None:
+            for slot in slots:
+                del slot.holding[watcher]
+        else:
+            del parked.parked[watcher]
+        zero.parked[watcher] = None
+        watcher._parked = zero
+        return False
 
     def affected_watchers(self, sent: Sentence) -> list[QuestionWatcher]:
         """Watchers whose satisfaction could change when ``sent`` transitions.
 
-        A guaranteed superset of the watchers whose satisfaction *does*
-        change (property-tested in ``tests/core/test_properties.py``),
-        computed in O(#nouns + #affected) -- independent of both the SAS
-        size and the total attached-watcher count.
+        Called before the transition, this is a guaranteed superset of the
+        watchers whose satisfaction *does* change (property-tested in
+        ``tests/core/test_properties.py``): the QExpr/ordered watchers in
+        ``sent``'s index buckets, plus the conjunction watchers parked on a
+        slot ``sent`` would flip 0->1 (``sent`` not a member) or holding a
+        slot whose only match is ``sent`` (``sent`` at depth 1).  Computed
+        in O(#nouns + #affected) -- independent of both the SAS size and
+        the number of watchers sharing a component.
         """
         hit: dict[QuestionWatcher, None] = dict(self._watch_all)
         index = self._watch_index
@@ -595,17 +720,51 @@ class ActiveSentenceSet:
                 bucket = index.get(("n", noun.name))
                 if bucket:
                     hit.update(bucket)
-        return list(hit)
+        slots = self._matching_slots(sent) if self._slot_index else ()
+        self._matched = (sent, slots)
+        if slots:
+            depth = None
+            for slot in slots:
+                if not slot.count:
+                    # no member matches, so ``sent`` is not one: activating
+                    # it flips this slot 0->1, and no slot 1->0
+                    hit.update(slot.parked)
+                    depth = 0
+                elif slot.count == 1:
+                    if depth is None:
+                        stack = self._active.get(sent)
+                        depth = len(stack) if stack else 0
+                    if depth == 1:
+                        hit.update(slot.holding)
+        return list(hit) if hit else []
 
     def _update_watchers(
-        self, now: float, sent: Sentence | None = None, became_member: bool | None = None
+        self,
+        now: float,
+        sent: Sentence,
+        became_member: bool | None,
+        visit: list[QuestionWatcher],
     ) -> None:
-        if sent is None:
-            for watcher in self.watchers:
-                watcher._update(self, now)
+        """Apply one handled transition to the watchers in ``visit``.
+
+        ``visit`` is :meth:`affected_watchers` taken before the transition;
+        ``became_member`` is None for a re-entrant (nested) notification,
+        which changes no membership and so no watcher.
+        """
+        if became_member is None:
             return
-        for watcher in self.affected_watchers(sent):
-            watcher._update(self, now, sent, became_member)
+        matched, slots = self._matched
+        if matched is not sent:
+            slots = self._matching_slots(sent) if self._slot_index else ()
+        if slots:
+            delta = 1 if became_member else -1
+            for slot in slots:
+                slot.count += delta
+        for watcher in visit:
+            if watcher._slots is None:
+                watcher._update(now, sent, became_member)
+            else:
+                watcher._apply(self._refile(watcher), now)
 
     def restrict_to_questions(self) -> None:
         """Enable the Section-4.2 size reduction: only keep sentences that
@@ -634,9 +793,6 @@ class NaiveActiveSentenceSet(ActiveSentenceSet):
     def _register_watcher(self, watcher: QuestionWatcher) -> None:
         pass
 
-    def _seed_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
     def _unregister_watcher(self, watcher: QuestionWatcher) -> None:
         pass
 
@@ -644,7 +800,11 @@ class NaiveActiveSentenceSet(ActiveSentenceSet):
         return list(self.watchers)
 
     def _update_watchers(
-        self, now: float, sent: Sentence | None = None, became_member: bool | None = None
+        self,
+        now: float,
+        sent: Sentence,
+        became_member: bool | None,
+        visit: list[QuestionWatcher],
     ) -> None:
         for watcher in self.watchers:
             watcher._update_full(self, now)

@@ -7,6 +7,7 @@ from repro.core import (
     AbstractionLevel,
     ActiveSentenceSet,
     DynamicMappingRecorder,
+    NaiveActiveSentenceSet,
     Noun,
     PerformanceQuestion,
     QAtom,
@@ -141,6 +142,25 @@ def test_question_attached_against_existing_state():
     sas.activate(A_SUM)
     w = sas.attach_question(PerformanceQuestion("q", (SentencePattern("Sum", ("A",)),)))
     assert w.satisfied
+
+
+@pytest.mark.parametrize("engine", [ActiveSentenceSet, NaiveActiveSentenceSet])
+def test_mid_run_attach_does_not_advance_step_clock(engine):
+    """Attaching a question reads the default step clock without ticking it."""
+
+    def trace_times(attach: bool) -> list[float]:
+        trace = Trace()
+        sas = engine(trace=trace)
+        sas.activate(A_SUM)
+        if attach:
+            w = sas.attach_question(PerformanceQuestion("q", (SentencePattern("Sum", ("A",)),)))
+            assert w.satisfied and w.satisfied_since == 1.0
+        sas.activate(B_SUM)
+        sas.deactivate(B_SUM)
+        sas.deactivate(A_SUM)
+        return [e.time for e in trace.events()]
+
+    assert trace_times(attach=True) == trace_times(attach=False) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_restrict_to_questions():

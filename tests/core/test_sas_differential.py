@@ -16,14 +16,19 @@ shapes (sparse/dense pools, re-entrancy bias, interest filtering, interned
 vocabularies) so the count is spent on diverse schedules, not repetition.
 """
 
+import random
+
 import pytest
 
 from repro.core import (
+    WILDCARD,
     AbstractionLevel,
     ActiveSentenceSet,
     DynamicMappingRecorder,
     EventKind,
     NaiveActiveSentenceSet,
+    PerformanceQuestion,
+    SentencePattern,
     Trace,
     Vocabulary,
     interest_from_questions,
@@ -164,15 +169,112 @@ def test_detach_question_unregisters_from_index():
     _, pool = sas_sentence_pool(3)
     questions = sas_questions(4, pool, count=6)
     watchers = [sas.attach_question(q) for q in questions]
+    for sent in pool[1:6]:
+        sas.activate(sent)
+    slots = list(sas._slots.values())
+    assert any(slot.holding for slot in slots) and any(slot.parked for slot in slots)
     for w in watchers:
         sas.detach_question(w)
     assert sas.watchers == []
     assert not sas._watch_index
     assert not sas._watch_all
+    # the conjunction pattern table and every parked/holding list are empty
+    assert not sas._slots and not sas._slot_index and not sas._slot_cache
+    assert all(not slot.parked and not slot.holding for slot in slots)
     # transitions after detach touch nobody
     before = [w.transitions for w in watchers]
     sas.activate(pool[0])
     assert [w.transitions for w in watchers] == before
+
+
+# -- mid-run attach/detach over conjunctions that share pattern slots ------
+WILDCARD_ONLY = (SentencePattern(WILDCARD), SentencePattern(WILDCARD, (WILDCARD,)))
+
+
+def _pattern_of(rng, sent):
+    verb = sent.verb.name if rng.random() < 0.7 else WILDCARD
+    nouns = tuple(n.name for n in sent.nouns if rng.random() < 0.5)
+    return SentencePattern(sent.verb.name if verb == WILDCARD and not nouns else verb, nouns)
+
+
+def _shared_conjunctions(rng, pool, count):
+    """Conjunctions that all share one component and, in rotation, repeat a
+    component, add a wildcard-only component, or add two components one
+    pool sentence matches at once (its verb alone and its first noun)."""
+    shared = _pattern_of(rng, rng.choice(pool))
+    questions = []
+    for i in range(count):
+        parts = [shared, _pattern_of(rng, rng.choice(pool))]
+        shape = i % 4
+        if shape == 0:
+            parts.append(parts[-1])
+        elif shape == 1:
+            parts.append(rng.choice(WILDCARD_ONLY))
+        elif shape == 2:
+            model = rng.choice(pool)
+            parts.append(SentencePattern(model.verb.name))
+            parts.append(SentencePattern(WILDCARD, tuple(n.name for n in model.nouns[:1])))
+        rng.shuffle(parts)
+        questions.append(PerformanceQuestion(f"c{i}", tuple(parts)))
+    return questions
+
+
+def _attach_detach_schedule(seed):
+    """Seeded events interleaved with watcher attaches and detaches.
+
+    Each question is attached at a random point, about half are detached
+    later, and every third gets a second, overlapping watcher.
+    """
+    rng = random.Random(seed)
+    _, pool = sas_sentence_pool(seed % 29)
+    questions = _shared_conjunctions(rng, pool, 8) + sas_questions(seed, pool, count=3)
+    ops = [("event", kind, sent) for kind, sent in sas_event_trace(seed + 1, pool, events=80)]
+    instance = 0
+    for qi in range(len(questions)):
+        for _ in range(2 if qi % 3 == 0 else 1):
+            at = rng.randrange(len(ops) + 1)
+            ops.insert(at, ("attach", instance, questions[qi]))
+            if rng.random() < 0.5:
+                ops.insert(rng.randrange(at + 1, len(ops) + 1), ("detach", instance, None))
+            instance += 1
+    return ops
+
+
+def _replay_schedule(engine, ops):
+    sas = engine()
+    live = {}
+    observed = {}
+
+    def state(w, log):
+        return (log, w.satisfied, w.transitions, round(w.satisfied_time, 9))
+
+    for op, arg, payload in ops:
+        if op == "event":
+            if arg is EventKind.ACTIVATE:
+                sas.activate(payload)
+            else:
+                sas.deactivate(payload)
+        elif op == "attach":
+            w = sas.attach_question(payload)
+            log = [("attach", w.satisfied)]
+            w.on_satisfied.append(lambda t, log=log: log.append(("on", t)))
+            w.on_unsatisfied.append(lambda t, log=log: log.append(("off", t)))
+            live[arg] = (w, log)
+        else:
+            w, log = live.pop(arg)
+            sas.detach_question(w)
+            observed[arg] = state(w, log)
+    for key, (w, log) in live.items():
+        observed[key] = state(w, log)
+    return observed, sas.active_with_times()
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_oracle_mid_run_attach_detach(seed):
+    ops = _attach_detach_schedule(5000 + seed)
+    indexed = _replay_schedule(ActiveSentenceSet, ops)
+    naive = _replay_schedule(NaiveActiveSentenceSet, ops)
+    assert indexed == naive, f"engines diverged for schedule seed {5000 + seed}"
 
 
 def test_interning_keeps_engines_aligned_across_equal_copies():
