@@ -1,24 +1,26 @@
-"""Ablation 10: the columnar ``.rtrcx`` backend vs row ``.rtrc`` replay.
+"""Ablation 10: the columnar ``.rtrcx`` trace store's read paths.
 
-One trace, two layouts, four workloads:
+One trace, four workloads:
 
-* **seek**: reconstructing the SAS at random times through the columnar
-  segment index vs the row snapshot index vs a bare linear replay;
+* **seek**: reconstructing the SAS at random times through the segment
+  index (embedded snapshot + column prefix) vs a bare linear replay of
+  the in-memory trace;
 * **Figure-6 retro query**: a two-sentence conjunction question answered
-  by the question engine.  The row reader replays every record; the
-  columnar reader pushes the question's sentence-id set into the scan,
-  prunes segments by zone map, and decodes only the transition columns --
-  the tentpole claim is >= 3x on queries touching <= 2 of the interned
-  sentences;
+  by the question engine.  The pushdown path hands the question's
+  sentence-id set to the scan, prunes segments by zone map, and decodes
+  only the transition columns; the baseline replays every event of the
+  same file through ``events()`` -- the tentpole claim is >= 3x on
+  queries touching <= 2 of the interned sentences;
 * **Figure-7 attribution**: the lag-window producer/consumer match on the
-  asynchronous unixsim run, answers byte-identical across layouts;
-* **lint**: ``repro lint`` trace sanitization throughput on both layouts,
-  plus the parallel segment scan (``--jobs``) on the columnar file.
+  asynchronous unixsim run, answers identical to the in-memory trace of
+  the same run;
+* **lint**: ``repro lint`` trace sanitization time, serial and with the
+  parallel segment scan (``--jobs``).
 
 Two side measurements ride along: the ``_window_overlaps`` rewrite vs the
-seed's quadratic cross product (the satellite fix this PR lands), and a
-subprocess peak-RSS probe showing ``repro trace info`` on a columnar file
-reads footer pages only (mmap) instead of materializing the event stream.
+seed's quadratic cross product, and a subprocess peak-RSS probe showing
+``repro trace info`` reads footer pages only (mmap) instead of
+materializing the event stream.
 
 Results merge into ``benchmarks/out/BENCH_trace.json`` under ``"abl10"``
 (the abl9 keys stay at top level).  Quick mode shrinks scales but keeps
@@ -37,13 +39,10 @@ import time
 
 from repro.analyze import Severity, lint_paths
 from repro.core import PerformanceQuestion, SentencePattern
-from repro.paradyn import text_table
 from repro.trace import (
     ColumnarTraceReader,
+    ColumnarTraceWriter,
     SASState,
-    TraceReader,
-    TraceWriter,
-    convert,
     evaluate_questions,
     parse_pattern,
     sentence_intervals,
@@ -55,14 +54,11 @@ from repro.workloads import random_trace
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
-#: main workload: (events, nodes, sentences, row snapshot cadence, segment records)
-#: segment granularity matches the row snapshot cadence so the seek
-#: comparison is iso-replay-distance; both sides pay one snapshot per 256
-#: records of file
-TRACE_SCALE = (30_000, 4, 24, 256, 256) if QUICK else (100_000, 4, 24, 256, 256)
+#: main workload: (events, nodes, sentences, segment records)
+TRACE_SCALE = (30_000, 4, 24, 256) if QUICK else (100_000, 4, 24, 256)
 #: probes per seek timing loop
 SEEK_PROBES = 40 if QUICK else 120
-#: query timing rounds per layout (best-of)
+#: query timing rounds per path (best-of)
 QUERY_ROUNDS = 3 if QUICK else 5
 
 FIG7_SCRIPT = [
@@ -82,31 +78,26 @@ def _best_of(fn, rounds: int) -> float:
     return best
 
 
-def _build_pair(tmpdir: str):
-    """The shared workload recorded as row, then converted to columnar."""
-    events_n, nodes, sentences, cadence, seg_records = TRACE_SCALE
+def _build_trace(tmpdir: str):
+    """The shared workload, recorded straight to a columnar file."""
+    events_n, nodes, sentences, seg_records = TRACE_SCALE
     trace = random_trace(7, events=events_n, nodes=nodes, sentences=sentences)
-    row_path = os.path.join(tmpdir, "abl10.rtrc")
-    with TraceWriter(row_path, snapshot_every=cadence) as w:
+    path = os.path.join(tmpdir, "abl10.rtrcx")
+    with ColumnarTraceWriter(path, segment_records=seg_records) as w:
         w.record_trace(trace)
-    col_path = os.path.join(tmpdir, "abl10.rtrcx")
-    convert(row_path, col_path, segment_records=seg_records)
-    return trace, row_path, col_path
+    return trace, path
 
 
-def _measure_seek(trace, row_path: str, col_path: str) -> dict:
-    row = TraceReader(row_path)
-    col = ColumnarTraceReader(col_path)
-    t0, t1 = row.time_bounds()
+def _measure_seek(trace, path: str) -> dict:
+    col = ColumnarTraceReader(path)
+    t0, t1 = col.time_bounds()
     rng = random.Random(99)
     probes = [rng.uniform(t0, t1) for _ in range(SEEK_PROBES)]
     events = trace.events()
 
     for t in probes[:6]:  # correctness spot-check before timing
-        want = SASState.from_events(events, t)
-        assert row.seek(t) == want and col.seek(t) == want
+        assert col.seek(t) == SASState.from_events(events, t)
 
-    row_s = _best_of(lambda: [row.seek(t) for t in probes], 3) / len(probes)
     col_s = _best_of(lambda: [col.seek(t) for t in probes], 3) / len(probes)
     lin_n = max(4, SEEK_PROBES // 10)
     start = time.perf_counter()
@@ -114,21 +105,18 @@ def _measure_seek(trace, row_path: str, col_path: str) -> dict:
         SASState.from_events(events, t)
     lin_s = (time.perf_counter() - start) / lin_n
     return {
-        "events": row.transitions,
+        "events": col.transitions,
         "segments": len(col.segments),
-        "row_seeks_per_sec": 1.0 / row_s,
         "columnar_seeks_per_sec": 1.0 / col_s,
         "linear_replays_per_sec": 1.0 / lin_s,
         "columnar_vs_linear": lin_s / col_s,
-        "columnar_vs_row": row_s / col_s,
     }
 
 
-def _measure_query(row_path: str, col_path: str) -> dict:
+def _measure_query(path: str) -> dict:
     """A Figure-6-shaped conjunction over two interned sentences."""
-    row = TraceReader(row_path)
-    col = ColumnarTraceReader(col_path)
-    sents = sorted(row.sentences, key=str)
+    col = ColumnarTraceReader(path)
+    sents = sorted(col.sentences, key=str)
     a, b = sents[0], sents[1]
     questions = [
         PerformanceQuestion(
@@ -139,78 +127,68 @@ def _measure_query(row_path: str, col_path: str) -> dict:
             ),
         )
     ]
-    end = row.time_bounds()[1]
-    row_ans = evaluate_questions(row, questions, end_time=end)
-    col_ans = evaluate_questions(col, questions, end_time=end)
-    assert {k: vars(v) for k, v in row_ans.items()} == {
-        k: vars(v) for k, v in col_ans.items()
-    }, "columnar question answers diverged from row replay"
+    end = col.time_bounds()[1]
 
-    row_t = _best_of(lambda: evaluate_questions(row, questions, end_time=end), QUERY_ROUNDS)
-    col_t = _best_of(lambda: evaluate_questions(col, questions, end_time=end), QUERY_ROUNDS)
+    def full_replay():
+        # a bare event stream has no scan to push the question into
+        return evaluate_questions(col.events(), questions, end_time=end)
+
+    def pushdown():
+        return evaluate_questions(col, questions, end_time=end)
+
+    full_ans, push_ans = full_replay(), pushdown()
+    assert {k: vars(v) for k, v in full_ans.items()} == {
+        k: vars(v) for k, v in push_ans.items()
+    }, "pushdown question answers diverged from the full replay"
+
+    full_t = _best_of(full_replay, QUERY_ROUNDS)
+    push_t = _best_of(pushdown, QUERY_ROUNDS)
     pruned = col.prune_segments(
         sids=frozenset(i for i, s in enumerate(col.sentences) if s in (a, b))
     )
     return {
         "question_sentences": 2,
-        "satisfied_time": row_ans["conj"].satisfied_time,
+        "satisfied_time": push_ans["conj"].satisfied_time,
         "segments_scanned": len(pruned),
         "segments_total": len(col.segments),
-        "row_query_s": row_t,
-        "columnar_query_s": col_t,
-        "speedup": row_t / col_t,
+        "full_replay_s": full_t,
+        "pushdown_s": push_t,
+        "speedup": full_t / push_t,
     }
 
 
 def _measure_fig7(tmpdir: str) -> dict:
-    row_path = os.path.join(tmpdir, "fig7.rtrc")
-    with TraceWriter(row_path) as w:
+    path = os.path.join(tmpdir, "fig7.rtrcx")
+    with ColumnarTraceWriter(path) as w:
         out = run_figure7_study(script=FIG7_SCRIPT, causal=False, recorder=w)
-    col_path = os.path.join(tmpdir, "fig7.rtrcx")
-    convert(row_path, col_path)
     producers = parse_pattern("{? WriteCall}@UNIX Process")
     consumers = parse_pattern("{? DiskWrite}@UNIX Kernel")
 
     def key(s):
         return s.nouns[0].name[:-2]
 
-    def run(path, reader_cls):
-        return windowed_attribution(
-            reader_cls(path), producers, consumers, window=FIG7_WINDOW, key=key
-        )
+    def run(source):
+        return windowed_attribution(source, producers, consumers, window=FIG7_WINDOW, key=key)
 
-    row_res = run(row_path, TraceReader)
-    col_res = run(col_path, ColumnarTraceReader)
-    assert row_res.counts == col_res.counts == {
+    col_res = run(ColumnarTraceReader(path))
+    mem_res = run(out.trace)  # the same run's in-memory record
+    assert col_res.counts == mem_res.counts == {
         f: n for f, n in out.ground_truth.items() if n
     }
-    assert row_res.unattributed == col_res.unattributed == 0
-    row_t = _best_of(lambda: run(row_path, TraceReader), QUERY_ROUNDS)
-    col_t = _best_of(lambda: run(col_path, ColumnarTraceReader), QUERY_ROUNDS)
-    return {
-        "counts": dict(row_res.counts),
-        "row_s": row_t,
-        "columnar_s": col_t,
-        "speedup": row_t / col_t,
-    }
+    assert col_res.unattributed == mem_res.unattributed == 0
+    col_t = _best_of(lambda: run(ColumnarTraceReader(path)), QUERY_ROUNDS)
+    return {"counts": dict(col_res.counts), "columnar_s": col_t}
 
 
-def _measure_lint(row_path: str, col_path: str) -> dict:
-    for path in (row_path, col_path):  # lint must pass on both layouts
-        assert not lint_paths([path]).fails(Severity.ERROR)
+def _measure_lint(path: str) -> dict:
+    assert not lint_paths([path]).fails(Severity.ERROR)
 
-    row_t = _best_of(lambda: lint_paths([row_path]), QUERY_ROUNDS)
-    col_t = _best_of(lambda: lint_paths([col_path]), QUERY_ROUNDS)
-    par_t = _best_of(lambda: lint_paths([col_path], jobs=2), 1)
-    serial = sentence_intervals(ColumnarTraceReader(col_path))
-    parallel = sentence_intervals(ColumnarTraceReader(col_path), jobs=2)
+    col_t = _best_of(lambda: lint_paths([path]), QUERY_ROUNDS)
+    par_t = _best_of(lambda: lint_paths([path], jobs=2), 1)
+    serial = sentence_intervals(ColumnarTraceReader(path))
+    parallel = sentence_intervals(ColumnarTraceReader(path), jobs=2)
     assert serial == parallel, "parallel segment scan diverged from serial"
-    return {
-        "row_s": row_t,
-        "columnar_s": col_t,
-        "columnar_jobs2_s": par_t,
-        "speedup": row_t / col_t,
-    }
+    return {"columnar_s": col_t, "columnar_jobs2_s": par_t}
 
 
 def _measure_window_overlaps() -> dict:
@@ -275,7 +253,6 @@ def _measure_info_rss(tmpdir: str) -> dict:
     """
     from repro.core import EventKind, Noun, Verb
     from repro.core import sentence as mk_sentence
-    from repro.trace import ColumnarTraceWriter
 
     col_path = os.path.join(tmpdir, "rss.rtrcx")
     verb = Verb("Sum", "HPF")
@@ -316,12 +293,12 @@ def _measure_info_rss(tmpdir: str) -> dict:
 
 def run_experiment() -> dict:
     with tempfile.TemporaryDirectory() as tmpdir:
-        trace, row_path, col_path = _build_pair(tmpdir)
+        trace, path = _build_trace(tmpdir)
         return {
-            "seek": _measure_seek(trace, row_path, col_path),
-            "query": _measure_query(row_path, col_path),
+            "seek": _measure_seek(trace, path),
+            "query": _measure_query(path),
             "fig7": _measure_fig7(tmpdir),
-            "lint": _measure_lint(row_path, col_path),
+            "lint": _measure_lint(path),
             "window_overlaps": _measure_window_overlaps(),
             "rss": _measure_info_rss(tmpdir),
         }
@@ -333,24 +310,19 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
     lint, wo, rss = r["lint"], r["window_overlaps"], r["rss"]
 
     # -- shape claims -------------------------------------------------------
-    # tentpole: the pushdown query beats full row replay >= 3x when the
-    # question touches <= 2 of the interned sentences
+    # tentpole: the pushdown query beats a full replay of the same file
+    # >= 3x when the question touches <= 2 of the interned sentences
     assert query["speedup"] >= 3.0, (
-        f"columnar pattern query only {query['speedup']:.2f}x row replay "
-        f"({query['columnar_query_s'] * 1e3:.1f} ms vs "
-        f"{query['row_query_s'] * 1e3:.1f} ms)"
+        f"pushdown pattern query only {query['speedup']:.2f}x full replay "
+        f"({query['pushdown_s'] * 1e3:.1f} ms vs "
+        f"{query['full_replay_s'] * 1e3:.1f} ms)"
     )
     # zone maps actually prune: the 2-sentence question skips segments
     assert query["segments_scanned"] <= query["segments_total"]
 
-    # columnar seek beats a bare linear replay comfortably and is not
-    # worse than the row snapshot index
+    # segment-index seek beats a bare linear replay comfortably
     assert seek["columnar_vs_linear"] > 2.0, (
         f"columnar seek only {seek['columnar_vs_linear']:.2f}x linear replay"
-    )
-    assert seek["columnar_vs_row"] > 0.5, (
-        f"columnar seek {seek['columnar_vs_row']:.2f}x row seek -- "
-        "segment snapshots are not pulling their weight"
     )
 
     # the _window_overlaps rewrite wins against the seed's cross product
@@ -373,16 +345,16 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
     bench_json = {
         "trace_events": seek["events"],
         "segments": seek["segments"],
-        "seek_row_per_sec": seek["row_seeks_per_sec"],
         "seek_columnar_per_sec": seek["columnar_seeks_per_sec"],
         "seek_columnar_vs_linear": seek["columnar_vs_linear"],
-        "seek_columnar_vs_row": seek["columnar_vs_row"],
         "query_speedup": query["speedup"],
+        "query_full_replay_s": query["full_replay_s"],
+        "query_pushdown_s": query["pushdown_s"],
         "query_segments_scanned": query["segments_scanned"],
         "query_segments_total": query["segments_total"],
-        "fig7_speedup": fig7["speedup"],
+        "fig7_columnar_s": fig7["columnar_s"],
         "fig7_counts": fig7["counts"],
-        "lint_speedup": lint["speedup"],
+        "lint_columnar_s": lint["columnar_s"],
         "lint_columnar_jobs2_s": lint["columnar_jobs2_s"],
         "window_overlaps_speedup": wo["speedup"],
         "window_overlaps_intervals": wo["intervals"],
@@ -392,25 +364,20 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
     }
     merge_bench({"abl10": bench_json})
 
-    rows = [
-        ("seek (states/s)", f"{seek['row_seeks_per_sec']:,.0f}",
-         f"{seek['columnar_seeks_per_sec']:,.0f}", f"{seek['columnar_vs_row']:.2f}x"),
-        ("fig6 conj query (s)", f"{query['row_query_s']:.4f}",
-         f"{query['columnar_query_s']:.4f}", f"{query['speedup']:.1f}x"),
-        ("fig7 attribution (s)", f"{fig7['row_s']:.4f}",
-         f"{fig7['columnar_s']:.4f}", f"{fig7['speedup']:.1f}x"),
-        ("lint sanitize (s)", f"{lint['row_s']:.4f}",
-         f"{lint['columnar_s']:.4f}", f"{lint['speedup']:.1f}x"),
-    ]
     text = (
-        "Ablation 10 -- columnar .rtrcx backend vs row .rtrc replay\n\n"
+        "Ablation 10 -- columnar .rtrcx trace store read paths\n\n"
         f"workload: {seek['events']:,} transitions, {seek['segments']} segments\n\n"
-        + text_table(rows, headers=("workload", "row", "columnar", "columnar wins"))
-        + "\n\n"
-        f"zone-map pruning: the 2-sentence question scanned "
-        f"{query['segments_scanned']}/{query['segments_total']} segments\n"
-        f"columnar seek vs linear replay: {seek['columnar_vs_linear']:.1f}x\n"
-        f"parallel lint (--jobs 2): {lint['columnar_jobs2_s']:.4f} s\n\n"
+        "Figure-6 conjunction query over 2 of the interned sentences:\n"
+        f"  full replay (events()) : {query['full_replay_s']:.4f} s\n"
+        f"  pushdown scan          : {query['pushdown_s']:.4f} s"
+        f"  ({query['speedup']:.1f}x, {query['segments_scanned']}/"
+        f"{query['segments_total']} segments scanned)\n\n"
+        f"seek: {seek['columnar_seeks_per_sec']:,.0f} states/s, "
+        f"{seek['columnar_vs_linear']:.1f}x a linear replay\n"
+        f"fig7 attribution: {fig7['columnar_s']:.4f} s, counts {fig7['counts']} "
+        "(identical to the in-memory trace)\n"
+        f"lint sanitize: {lint['columnar_s']:.4f} s serial, "
+        f"{lint['columnar_jobs2_s']:.4f} s with --jobs 2\n\n"
         f"_window_overlaps rewrite (satellite fix), {wo['intervals']} x "
         f"{wo['intervals']} intervals:\n"
         f"  quadratic seed : {wo['before_s'] * 1e3:8.1f} ms\n"
@@ -419,9 +386,9 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
         f"{rss['transitions']:,} transitions, {rss['file_bytes']:,}-byte file):\n"
         f"  info (footer only) : {rss['info_delta_kib']:>8,} KiB\n"
         f"  full event read    : {rss['full_delta_kib']:>8,} KiB\n\n"
-        "shape: pushdown query >= 3x row replay; columnar seek > 2x linear;\n"
-        "fig7 answers identical across layouts; _window_overlaps > 2x the\n"
-        "seed; info() RSS bounded by footer pages, not file size.\n"
+        "shape: pushdown query >= 3x full replay; seek > 2x linear;\n"
+        "fig7 answers identical to the in-memory trace; _window_overlaps > 2x\n"
+        "the seed; info() RSS bounded by footer pages, not file size.\n"
         "Machine-readable numbers: benchmarks/out/BENCH_trace.json (abl10)."
     )
     save_artifact("abl10_columnar", text)

@@ -1,7 +1,7 @@
 """The lint driver: classify inputs, run every pass, format results.
 
 ``lint_paths`` is what ``repro lint`` calls.  Inputs are classified by
-extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrc``) and
+extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrcx``) and
 processed in dependency order: PIF and CM Fortran sources first (they
 build the static context), then MDL (checked against that context's
 vocabulary), then traces (sanitized against the merged static
@@ -84,15 +84,12 @@ def _error_col(exc: Exception) -> int | None:
 
 def _classify(path: str) -> str:
     lower = path.lower()
-    # .rtrcx before .rtrc would not matter for endswith, but keep both
-    # spellings explicit: the two trace layouts lint identically
     for ext, kind in (
         (".pif", "pif"),
         (".mdl", "mdl"),
         (".cmf", "cmf"),
         (".fcm", "cmf"),
-        (".rtrcx", "rtrc"),
-        (".rtrc", "rtrc"),
+        (".rtrcx", "trace"),
     ):
         if lower.endswith(ext):
             return kind
@@ -108,7 +105,7 @@ def lint_paths(
     """Run every applicable analyzer pass over the given input files.
 
     ``jobs > 1`` fans trace sanitization's interval scan across the sweep
-    worker pool (columnar ``.rtrcx`` inputs only; row files scan serially).
+    worker pool.
     ``deep`` adds the whole-program semantic passes: attribution-flow
     conservation proofs (NV017/NV018), mapping-derived question analysis
     (NV019/NV020), and MDL guard satisfiability (NV021).
@@ -116,12 +113,12 @@ def lint_paths(
     result = LintResult(inputs=list(paths))
     out = result.diagnostics
 
-    by_kind: dict[str, list[str]] = {"pif": [], "mdl": [], "cmf": [], "rtrc": []}
+    by_kind: dict[str, list[str]] = {"pif": [], "mdl": [], "cmf": [], "trace": []}
     for path in paths:
         kind = _classify(path)
         if kind == "unknown":
             out.append(
-                diag("NV000", "unrecognized input type (expected .pif/.mdl/.cmf/.rtrc/.rtrcx)", path)
+                diag("NV000", "unrecognized input type (expected .pif/.mdl/.cmf/.rtrcx)", path)
             )
         else:
             by_kind[kind].append(path)
@@ -165,8 +162,8 @@ def lint_paths(
         _lint_mdl(result, by_kind["mdl"], docs, mdl_library, deep)
 
     # ---- traces, sanitized against every static document
-    if by_kind["rtrc"]:
-        _lint_traces(out, by_kind["rtrc"], [doc for _path, doc in docs], jobs)
+    if by_kind["trace"]:
+        _lint_traces(out, by_kind["trace"], [doc for _path, doc in docs], jobs)
 
     return result
 

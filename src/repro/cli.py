@@ -9,9 +9,9 @@ Usage::
     python -m repro consultant heat.cmf --nodes 8
     python -m repro metrics
     python -m repro sweep db --clients 1,2,4 --queries 1,3,6 --workers 4 --verify
-    python -m repro trace record db --out run.rtrc --clients 2
-    python -m repro trace query run.rtrc --pattern "{Q0 QueryActive}" --mappings
-    python -m repro lint examples/fragment.pif run.rtrc --mdl-library --fail-on error
+    python -m repro trace record db --out run.rtrcx --clients 2
+    python -m repro trace query run.rtrcx --pattern "{Q0 QueryActive}" --mappings
+    python -m repro lint examples/fragment.pif run.rtrcx --mdl-library --fail-on error
     python -m repro mapc check examples/fragment.map
     python -m repro mapc build examples/heat.map --pif heat.pif
 
@@ -116,20 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--capture",
         metavar="DIR",
-        help="db/unix: record each task's run to DIR/<key>.rtrc and fold the "
+        help="db/unix: record each task's run to DIR/<key>.rtrcx and fold the "
         "trace sha256 into the verified fingerprint",
     )
 
     p_trace = sub.add_parser(
-        "trace", help="record .rtrc/.rtrcx trace files and analyze them post-mortem"
+        "trace", help="record .rtrcx trace files and analyze them post-mortem"
     )
     tsub = p_trace.add_subparsers(dest="trace_command", required=True)
 
     t_record = tsub.add_parser("record", help="run a study, persisting its trace")
     t_record.add_argument("study", choices=("db", "unix"))
     t_record.add_argument(
-        "--out", required=True, metavar="FILE.rtrc[x]",
-        help="destination trace; a .rtrcx suffix records straight to the columnar layout",
+        "--out", required=True, metavar="FILE.rtrcx", help="destination trace file"
     )
     t_record.add_argument("--clients", type=int, default=2, help="db: client count")
     t_record.add_argument("--queries", type=int, default=3, help="db: query count")
@@ -140,35 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     t_record.add_argument(
         "--no-causal", action="store_true", help="unix: disable causal write tags"
     )
-    t_record.add_argument(
-        "--snapshot-every", type=int, default=1024, help="SAS snapshot frame cadence"
-    )
 
     t_info = tsub.add_parser("info", help="summarize a trace file")
     t_info.add_argument("file")
     t_info.add_argument("--json", action="store_true")
-
-    t_convert = tsub.add_parser(
-        "convert", help="losslessly convert between row .rtrc and columnar .rtrcx"
-    )
-    t_convert.add_argument("src", help="source trace (either format; sniffed by magic)")
-    t_convert.add_argument("dst", help="destination (format from suffix, or --to)")
-    t_convert.add_argument(
-        "--to", choices=("rtrc", "rtrcx"), default=None,
-        help="target format (default: the destination suffix, else the other layout)",
-    )
-    t_convert.add_argument(
-        "--segment-events", type=int, default=4096, metavar="N",
-        help="columnar target: records per segment (zone-map/scan granularity)",
-    )
-    t_convert.add_argument(
-        "--snapshot-every", type=int, default=1024, metavar="N",
-        help="row target: SAS snapshot frame cadence",
-    )
-    t_convert.add_argument(
-        "--verify", action="store_true",
-        help="re-read both files and assert the record streams are identical",
-    )
 
     t_query = tsub.add_parser(
         "query", help="evaluate questions / windowed mappings retrospectively"
@@ -198,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_query.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel segment-scan workers (columnar traces only)",
+        help="parallel segment-scan workers",
     )
     t_query.add_argument("--json", action="store_true")
 
@@ -214,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="statically check PIF/MDL/CMF mapping information and sanitize traces"
     )
     p_lint.add_argument(
-        "files", nargs="+", metavar="FILE", help="inputs: .pif, .mdl, .cmf/.fcm, .rtrc"
+        "files", nargs="+", metavar="FILE", help="inputs: .pif, .mdl, .cmf/.fcm, .rtrcx"
     )
     p_lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
     p_lint.add_argument(
@@ -230,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel segment-scan workers for columnar trace inputs",
+        help="parallel segment-scan workers for trace inputs",
     )
     p_lint.add_argument(
         "--deep",
@@ -304,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream Figure-6 question answers to subscribers over live or recorded runs",
     )
     p_serve.add_argument(
-        "--trace", metavar="FILE.rtrc[x]",
-        help="recorded source; format sniffed by suffix/magic like every trace command",
+        "--trace", metavar="FILE.rtrcx", help="recorded source trace",
     )
     p_serve.add_argument(
         "--live", choices=("db",), default=None,
@@ -592,19 +565,16 @@ def _cmd_fuzz(args) -> int:
 
 
 def _trace_record(args) -> int:
-    from .trace import ColumnarTraceWriter, TraceWriter
+    from .trace import ColumnarTraceWriter
 
-    def writer_for(path: str, meta: dict):
-        if str(path).lower().endswith(".rtrcx"):
-            return ColumnarTraceWriter(path, metadata=meta)
-        return TraceWriter(path, snapshot_every=args.snapshot_every, metadata=meta)
-
+    if not args.out.lower().endswith(".rtrcx"):
+        raise ValueError(f"trace record --out must name a .rtrcx file, got {args.out!r}")
     if args.study == "db":
         from .dbsim import Query, run_db_study
 
         queries = [Query(f"Q{i}", disk_reads=(i % 4) + 1) for i in range(args.queries)]
         meta = {"study": "db", "clients": args.clients, "queries": args.queries}
-        with writer_for(args.out, meta) as w:
+        with ColumnarTraceWriter(args.out, metadata=meta) as w:
             outcome = run_db_study(
                 queries,
                 num_clients=args.clients,
@@ -621,7 +591,7 @@ def _trace_record(args) -> int:
         ]
         script.append(FunctionSpec("idle_tail", writes=0, compute_time=2e-2))
         meta = {"study": "unix", "writes": writes, "causal": not args.no_causal}
-        with writer_for(args.out, meta) as w:
+        with ColumnarTraceWriter(args.out, metadata=meta) as w:
             outcome = run_figure7_study(script, causal=not args.no_causal, recorder=w)
     print(
         f"recorded {w.transitions} transitions over {outcome.elapsed * 1e3:.4f} "
@@ -648,8 +618,7 @@ def _trace_info(args) -> int:
         "mappings",
         "sentences",
         "strings",
-        "snapshots",  # row layout
-        "segments",  # columnar layout
+        "segments",
     ):
         if key in info:
             print(f"{key}: {info[key]}")
@@ -663,36 +632,6 @@ def _trace_info(args) -> int:
         print(f"  level {level!r}: {n} sentences")
     if info["meta"]:
         print(f"metadata: {json.dumps(info['meta'], sort_keys=True)}")
-    return 0
-
-
-def _trace_convert(args) -> int:
-    from .trace import convert, open_trace
-
-    stats = convert(
-        args.src,
-        args.dst,
-        to=args.to,
-        segment_records=args.segment_events,
-        snapshot_every=args.snapshot_every,
-    )
-    print(
-        f"converted {stats['records']} records: {stats['source']} "
-        f"({stats['from_format']}, {stats['source_bytes']} bytes) -> "
-        f"{stats['destination']} ({stats['to_format']}, "
-        f"{stats['destination_bytes']} bytes)"
-    )
-    if args.verify:
-        with open_trace(args.src) as a, open_trace(args.dst) as b:
-            ra, rb = a.records(), b.records()
-            for n, (rec_a, rec_b) in enumerate(zip(ra, rb)):
-                if rec_a != rec_b:
-                    print(f"verify: MISMATCH at record {n}: {rec_a!r} != {rec_b!r}")
-                    return 1
-            if next(ra, None) is not None or next(rb, None) is not None:
-                print("verify: MISMATCH: record counts differ")
-                return 1
-        print("verify: record streams identical")
     return 0
 
 
@@ -982,7 +921,6 @@ def _cmd_trace(args) -> int:
     return {
         "record": _trace_record,
         "info": _trace_info,
-        "convert": _trace_convert,
         "query": _trace_query,
         "diff": _trace_diff,
     }[args.trace_command](args)

@@ -152,7 +152,7 @@ class TraceSource:
     def __init__(self, path: str, node: int | None = None):
         self.path = path
         self.node = node
-        self.reader = open_trace(path)  # suffix/magic-sniffed (.rtrc/.rtrcx)
+        self.reader = open_trace(path)
 
     def describe(self) -> str:
         return self.path

@@ -1,18 +1,15 @@
 """Persistent trace store with retrospective mapping.
 
 The run's dynamic record -- SAS transitions, metric samples, dynamic
-mappings -- recorded to a compact binary ``.rtrc`` file
-(:class:`TraceWriter`), read back with indexed O(log n) seeks
-(:class:`TraceReader`), and analyzed post-mortem: live-identical Figure-6
-question evaluation, lag-windowed dynamic mappings that recover Figure 7's
-asynchronous activations, and per-sentence run diffs (:mod:`.retro`).
-
-The chunked columnar ``.rtrcx`` layout (:mod:`.columnar`) stores the same
-record per field, in time-sorted segments with zone maps and embedded SAS
-snapshots, read via mmap; :func:`open_trace` dispatches on a file's magic
-bytes and :func:`convert` moves runs losslessly between the two layouts.
-The common scan API (:mod:`.scan`) gives every retrospective consumer
-pushdown filtering and -- on columnar files -- parallel segment scans.
+mappings -- recorded to a chunked columnar ``.rtrcx`` file
+(:class:`ColumnarTraceWriter`): time-sorted per-field segments with zone
+maps and embedded SAS snapshots, read back via mmap with segment-local
+seeks (:class:`ColumnarTraceReader`, opened by :func:`open_trace`), and
+analyzed post-mortem: live-identical Figure-6 question evaluation,
+lag-windowed dynamic mappings that recover Figure 7's asynchronous
+activations, and per-sentence run diffs (:mod:`.retro`).  The common scan
+API (:mod:`.scan`) gives every retrospective consumer pushdown filtering
+and parallel segment scans.
 """
 
 from .codec import CodecError
@@ -20,7 +17,6 @@ from .columnar import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
     SegmentMeta,
-    convert,
     open_trace,
 )
 from .retro import (
@@ -45,7 +41,7 @@ from .scan import (
     question_sids,
     scan_transitions,
 )
-from .store import MappingEvent, MetricSample, SASState, TraceReader, TraceWriter
+from .store import MappingEvent, MetricSample, SASState
 
 __all__ = [
     "AttributionResult",
@@ -59,10 +55,7 @@ __all__ = [
     "SegmentMeta",
     "SentenceStats",
     "TraceDiff",
-    "TraceReader",
-    "TraceWriter",
     "WindowedMapping",
-    "convert",
     "diff_traces",
     "evaluate_questions",
     "filtered_intervals",

@@ -1,33 +1,18 @@
-"""Binary codec for the persistent trace store (``.rtrc`` files).
+"""Binary codec primitives for the trace store (``.rtrcx`` files).
 
-The on-disk format is a compact append-only record stream framed with
-varints, designed so every value round-trips *exactly* (timestamps and
-metric values are IEEE-754 lossless) while staying small:
+The columnar layout (:mod:`repro.trace.columnar`) frames its header,
+segment snapshots, column directories and footer with these helpers,
+chosen so every value round-trips *exactly* while staying small:
 
-* **varint framing** -- every record starts with a tag varint; payload
-  fields are unsigned varints (zigzag for signed values);
-* **interned string tables** -- level, noun, verb, metric, and focus names
-  are interned once per file (``DEF_STR``) and referenced by id; sentences
-  intern likewise (``DEF_SENT``) so a transition record is typically 4-6
-  bytes;
-* **delta-encoded timestamps** -- each timed record stores the XOR of its
-  time's IEEE-754 bits against the previous timed record's; nearby times
-  share their high (sign/exponent/top-mantissa) bits, so the XOR is a small
-  integer and the varint short.  Identical times (the simulator batches
-  same-instant events) cost one byte.  Snapshot records carry an absolute
-  time and reset the chain, so a reader can start decoding at any snapshot
-  offset.
-
-The record stream is followed by a footer that repeats the complete string
-and sentence tables plus the snapshot index, so :class:`~.store.TraceReader`
-can seek without scanning the stream; the trailer stores the footer offset.
-
-File layout::
-
-    header  := MAGIC "RTRC" | version u8 | meta_len varint | meta_json
-    records := (DEF_STR | DEF_SENT | TRANS | METRIC | MAPPING | SNAPSHOT)*
-    footer  := string table | sentence table | snapshot index | counts | bounds
-    trailer := footer_offset u64le | MAGIC_END "CRTR"
+* **varints** -- counts, ids and offsets are unsigned LEB128 varints
+  (zigzag for signed values such as node ids), with the width bounded so
+  corrupt continuation bits cannot build an unbounded integer;
+* **interned string and sentence tables** -- level, noun, verb, metric
+  and focus names are interned once per file and referenced by dense id;
+  the footer stores both tables, so any record resolves without a scan;
+* **validated reads** -- every length and count decoded from a file is
+  checked against the bytes actually present before it drives a slice,
+  loop or allocation, so a corrupt file raises :class:`CodecError`.
 
 Noun/verb *descriptions* are not persisted: sentence identity is
 ``(name, abstraction)`` (descriptions are ``compare=False`` annotations),
@@ -42,15 +27,6 @@ from ..core import Noun, Sentence, Verb
 from ..core.mapping import MappingOrigin
 
 __all__ = [
-    "MAGIC",
-    "MAGIC_END",
-    "VERSION",
-    "TAG_DEF_STR",
-    "TAG_DEF_SENT",
-    "TAG_TRANS",
-    "TAG_METRIC",
-    "TAG_MAPPING",
-    "TAG_SNAPSHOT",
     "MAX_UVARINT_BYTES",
     "append_uvarint",
     "read_uvarint",
@@ -60,10 +36,6 @@ __all__ = [
     "decode_utf8",
     "zigzag",
     "unzigzag",
-    "float_to_bits",
-    "bits_to_float",
-    "delta_bits",
-    "undelta_bits",
     "encode_node",
     "decode_node",
     "StringTable",
@@ -71,23 +43,11 @@ __all__ = [
     "CodecError",
 ]
 
-MAGIC = b"RTRC"
-MAGIC_END = b"CRTR"
-VERSION = 1
-
-TAG_DEF_STR = 1  # len varint | utf-8 bytes             -> next string id
-TAG_DEF_SENT = 2  # verb(level,name) | n | n*(level,name) -> next sentence id
-TAG_TRANS = 3  # sent_id | flags(bit0 activate, rest node) | tdelta
-TAG_METRIC = 4  # name_sid | focus_sid | units_sid | tdelta | f64 value
-TAG_MAPPING = 5  # src_sent | dst_sent | origin | tdelta
-TAG_SNAPSHOT = 6  # f64 abs time | nevents | nentries | entries...
-
 _PACK_D = struct.Struct("<d")
-_PACK_Q = struct.Struct("<Q")
 
 
 class CodecError(ValueError):
-    """Malformed or truncated ``.rtrc``/``.rtrcx`` data."""
+    """Malformed, truncated or retired-format trace data."""
 
 
 # ----------------------------------------------------------------------
@@ -177,36 +137,6 @@ def unzigzag(value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# lossless float deltas
-# ----------------------------------------------------------------------
-def float_to_bits(value: float) -> int:
-    return _PACK_Q.unpack(_PACK_D.pack(value))[0]
-
-
-def bits_to_float(bits: int) -> float:
-    if bits >> 64:
-        # a corrupt varint can decode to more than 64 bits; don't let
-        # struct.error escape the codec boundary
-        raise CodecError(f"float bit pattern exceeds 64 bits: {bits:#x}")
-    return _PACK_D.unpack(_PACK_Q.pack(bits))[0]
-
-
-def delta_bits(prev_bits: int, bits: int) -> int:
-    """XOR delta of two IEEE-754 bit patterns.
-
-    Nearby floats share their high (sign/exponent/top-mantissa) bits, so
-    the XOR is a small integer and varints short; identical times XOR to 0
-    (one byte).  XOR is an involution given ``prev_bits``, hence exactly
-    lossless -- no subtraction rounding anywhere.
-    """
-    return prev_bits ^ bits
-
-
-def undelta_bits(prev_bits: int, delta: int) -> int:
-    return prev_bits ^ delta
-
-
-# ----------------------------------------------------------------------
 # small field codecs
 # ----------------------------------------------------------------------
 def encode_node(node_id: int | None) -> int:
@@ -227,27 +157,21 @@ ORIGIN_BY_CODE = {code: origin for origin, code in ORIGIN_CODES.items()}
 # interning tables
 # ----------------------------------------------------------------------
 class StringTable:
-    """Write-side string interner that emits ``DEF_STR`` records.
+    """Write-side string interner.
 
-    Ids are assigned densely in first-use order; the same order is used
-    when the table is re-serialized into the footer, so stream and footer
-    agree on every id.
+    Ids are assigned densely in first-use order, and the footer table is
+    serialized in the same order, so every id a record stores resolves.
     """
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self.strings: list[str] = []
 
-    def intern(self, text: str, buf: bytearray) -> int:
+    def intern(self, text: str) -> int:
         sid = self._ids.get(text)
         if sid is None:
-            sid = len(self.strings)
-            self._ids[text] = sid
+            sid = self._ids[text] = len(self.strings)
             self.strings.append(text)
-            raw = text.encode("utf-8")
-            append_uvarint(buf, TAG_DEF_STR)
-            append_uvarint(buf, len(raw))
-            buf += raw
         return sid
 
     def encode_table(self, buf: bytearray) -> None:
@@ -270,57 +194,40 @@ class StringTable:
 
 
 class SentenceTable:
-    """Write-side sentence interner that emits ``DEF_SENT`` records."""
+    """Write-side sentence interner over a :class:`StringTable`.
+
+    ``ids`` maps each interned sentence to its dense id.  Interning a new
+    sentence interns its verb level and name, then each noun's level and
+    name, in that order; the footer table stores those string ids.
+    """
 
     def __init__(self, strings: StringTable) -> None:
         self._strings = strings
-        self._ids: dict[Sentence, int] = {}
+        self.ids: dict[Sentence, int] = {}
         self.sentences: list[Sentence] = []
+        self._fields: list[list[int]] = []
 
-    def intern(self, sent: Sentence, buf: bytearray) -> int:
-        sid = self._ids.get(sent)
+    def intern(self, sent: Sentence) -> int:
+        sid = self.ids.get(sent)
         if sid is None:
-            sid = len(self.sentences)
-            self._ids[sent] = sid
+            sid = self.ids[sent] = len(self.sentences)
             self.sentences.append(sent)
-            # string interning first, so DEF_STRs precede the DEF_SENT
-            fields = self._field_ids(sent, buf)
-            append_uvarint(buf, TAG_DEF_SENT)
-            self._encode_fields(fields, buf)
+            intern = self._strings.intern
+            fields = [intern(sent.verb.abstraction), intern(sent.verb.name)]
+            for noun in sent.nouns:
+                fields.append(intern(noun.abstraction))
+                fields.append(intern(noun.name))
+            self._fields.append(fields)
         return sid
-
-    def _field_ids(self, sent: Sentence, buf: bytearray) -> list[int]:
-        intern = self._strings.intern
-        fields = [intern(sent.verb.abstraction, buf), intern(sent.verb.name, buf)]
-        for noun in sent.nouns:
-            fields.append(intern(noun.abstraction, buf))
-            fields.append(intern(noun.name, buf))
-        return fields
-
-    @staticmethod
-    def _encode_fields(fields: list[int], buf: bytearray) -> None:
-        append_uvarint(buf, fields[0])
-        append_uvarint(buf, fields[1])
-        append_uvarint(buf, (len(fields) - 2) // 2)
-        for field in fields[2:]:
-            append_uvarint(buf, field)
 
     def encode_table(self, buf: bytearray) -> None:
         append_uvarint(buf, len(self.sentences))
-        scratch = bytearray()  # strings already interned; discard DEF_STRs
-        for sent in self.sentences:
-            self._encode_fields(self._field_ids(sent, scratch), buf)
-
-    @staticmethod
-    def skip_fields(data, pos: int) -> int:
-        """Skip one encoded sentence (shared by stream skip and table)."""
-        _, pos = read_uvarint(data, pos)
-        _, pos = read_uvarint(data, pos)
-        nnouns, pos = read_uvarint(data, pos)
-        check_count(nnouns, pos, len(data), 2, "sentence noun")
-        for _ in range(2 * nnouns):
-            _, pos = read_uvarint(data, pos)
-        return pos
+        for fields in self._fields:
+            append_uvarint(buf, fields[0])
+            append_uvarint(buf, fields[1])
+            append_uvarint(buf, (len(fields) - 2) // 2)
+            for field in fields[2:]:
+                append_uvarint(buf, field)
 
     @staticmethod
     def decode_fields(data, pos: int, strings: list[str]) -> tuple[Sentence, int]:

@@ -1,17 +1,15 @@
-"""Chunked columnar trace store (``.rtrcx``): mmap reads, zone-map pruning.
+"""The trace store: chunked columnar ``.rtrcx`` files, read via mmap.
 
-The row ``.rtrc`` stream (:mod:`repro.trace.store`) is the interchange
-format: compact, append-only, decoded record by record.  Every
-retrospective question, lag-window attribution, and trace-backed lint run
-pays that per-record varint loop even when it needs two fields of the
-events in one time range.  This module stores the same dynamic record
-*by column*, in time-sorted segments, so a query touches only the bytes
+A ``.rtrcx`` file is the durable form of a run's dynamic record -- SAS
+transitions, metric samples and dynamic mappings.  It stores that record
+*by column*, in time-sorted segments, so a retrospective question,
+lag-window attribution or trace-backed lint run touches only the bytes
 its patterns need:
 
 * **per-field arrays** -- transition times, sentence ids, kind flags and
   node ids (and the metric/mapping fields) live in separate contiguous
   machine arrays (``f64``/``u32``/``u8`` little-endian), bulk-decoded with
-  ``array.frombytes`` instead of per-record varint parsing;
+  ``array.frombytes`` instead of per-record parsing;
 * **time-sorted segments with zone maps** -- every ``segment_records``
   records close a segment; the footer records each segment's byte span,
   time range, distinct sentence-id set, and per-level presence bits, so a
@@ -26,10 +24,9 @@ its patterns need:
   ``info``/``time_bounds`` touch only footer pages, a pruned query only
   the pages of the segments and columns it decodes.
 
-A record-for-record lossless converter (:func:`convert`, surfaced as
-``repro trace convert``) moves runs between the two layouts; an ``ORDER``
-column preserves the original interleaving of transition / metric /
-mapping records so round-trips reproduce the stream exactly.
+An ``ORDER`` column keeps the original interleaving of transition /
+metric / mapping records, so :meth:`ColumnarTraceReader.records` returns
+the record stream exactly as it was written.
 
 File layout::
 
@@ -69,16 +66,7 @@ from .codec import (
     read_f64,
     read_uvarint,
 )
-from .store import (
-    ALL_NODES,
-    MAGIC,
-    MappingEvent,
-    MetricSample,
-    SASState,
-    TraceReader,
-    TraceWriter,
-    map_readonly,
-)
+from .store import ALL_NODES, MappingEvent, MetricSample, SASState, map_readonly
 
 __all__ = [
     "MAGIC_X",
@@ -88,12 +76,14 @@ __all__ = [
     "ColumnarTraceWriter",
     "ColumnarTraceReader",
     "open_trace",
-    "convert",
 ]
 
 MAGIC_X = b"RTCX"
 MAGIC_X_END = b"XCTR"
 VERSION_X = 1
+#: leading bytes of the retired row ``.rtrc`` layout, recognized only to
+#: name it in the error
+RETIRED_ROW_MAGIC = b"RTRC"
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -115,6 +105,8 @@ COL_PDST = 12  # u32 mapping destination sentence ids
 COL_PORG = 13  # u8 mapping origin codes
 
 REC_TRANS, REC_METRIC, REC_MAP = 0, 1, 2
+
+_ACTIVATE = EventKind.ACTIVATE
 
 _U32 = "I" if array("I").itemsize == 4 else "L"
 if array(_U32).itemsize != 4:  # pragma: no cover - no such CPython platform
@@ -188,13 +180,18 @@ class SegmentMeta:
 class ColumnarTraceWriter:
     """Streams a run's dynamic record into a segmented ``.rtrcx`` file.
 
-    Exposes the same recorder protocol as :class:`~.store.TraceWriter`
-    (``transition`` / ``metric_sample`` / ``mapping``), so anything that
-    records to a row file records to a columnar one unchanged.  Every
-    ``segment_records`` records the open segment is flushed with its zone
-    map, and the next segment opens with a full SAS snapshot -- the
-    columnar analogue of ``snapshot_every`` (it bounds both seek replay
-    and the granularity of segment pruning/parallel scans).
+    The writer is a *recorder*: anything exposing ``transition`` /
+    ``metric_sample`` / ``mapping`` can be attached to an
+    :class:`~repro.core.sas.ActiveSentenceSet` (``sas.attach_recorder`` or
+    :meth:`attach_sas`), a :class:`~repro.paradyn.metrics.MetricManager`,
+    or passed to the dbsim / unixsim studies' ``recorder=`` parameter.
+    Every ``segment_records`` records the open segment is flushed with its
+    zone map, and the next segment opens with a full SAS snapshot, which
+    bounds both seek replay and the granularity of segment pruning and
+    parallel scans.
+
+    ``metadata`` is a JSON-serializable dict stored in the header; keep it
+    free of wall-clock values when the file's bytes feed a fingerprint.
     """
 
     def __init__(
@@ -215,26 +212,27 @@ class ColumnarTraceWriter:
         header += raw
         self._fh.write(header)
         self._offset = len(header)
-        self._scratch = bytearray()  # interning sink; DEF_* records unused here
         self._strings = StringTable()
         self._sents = SentenceTable(self._strings)
+        self._sent_ids = self._sents.ids  # the per-record sentence lookup
         self._levels: dict[str, int] = {}
         self._sent_level: list[int] = []  # sentence id -> level id
         self._last_time = 0.0
-        self._timed = 0
+        self._timed = False
         self._t0 = 0.0
-        self._t1 = 0.0
         self.transitions = 0
         self.metric_samples_count = 0
         self.mappings_count = 0
-        # live SAS state mirrored for segment snapshots: node -> sid -> stack
-        self._state: dict[Any, dict[int, list[float]]] = {}
+        # node id -> (encode_node() field, live SAS state mirrored for the
+        # segment snapshots: sid -> activation stack)
+        self._nodes: dict[Any, tuple[int, dict[int, list[float]]]] = {}
         # flattened-interval bookkeeping: cross-node depth per sentence and
         # the time that depth last went 0 -> 1.  Persisted in each segment
         # snapshot because activation stacks alone cannot recover it (the
         # opening activation may already have been popped while overlapping
         # ones keep the sentence active) -- the parallel segment scan needs
-        # it to seed a range without replaying earlier segments.
+        # it to seed a range without replaying earlier segments.  Only
+        # snapshots read it, so it advances once per segment (see _roll).
         self._flat_depth: dict[int, int] = {}
         self._flat_start: dict[int, float] = {}
         self._segments: list[SegmentMeta] = []
@@ -250,17 +248,29 @@ class ColumnarTraceWriter:
         sentence: Sentence,
         node_id: int | None = None,
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        sid = self._intern_sentence(sentence)
-        activate = kind is EventKind.ACTIVATE
-        per = self._state.setdefault(node_id, {})
+        """Record one SAS transition (the ``sas.attach_recorder`` hook target)."""
+        # the recording hot path: checks and bookkeeping are inlined
+        if self._closed:
+            raise ValueError(f"ColumnarTraceWriter({self.path}) is closed")
+        if len(self._order) >= self.segment_records:
+            self._roll()
+        sid = self._sent_ids.get(sentence)
+        if sid is None:
+            sid = self._intern_sentence(sentence)
+        node = self._nodes.get(node_id)
+        if node is None:
+            node = self._intern_node(node_id)
+        node_field, per = node
+        # check the clock before the SAS mirror changes
+        if time < self._last_time and self._timed:
+            raise ValueError(f"trace time went backwards: {time} < {self._last_time}")
+        activate = kind is _ACTIVATE
         if activate:
-            per.setdefault(sid, []).append(time)
-            d = self._flat_depth.get(sid, 0)
-            if d == 0:
-                self._flat_start[sid] = time
-            self._flat_depth[sid] = d + 1
+            stack = per.get(sid)
+            if stack is None:
+                per[sid] = [time]
+            else:
+                stack.append(time)
         else:
             stack = per.get(sid)
             if not stack:
@@ -270,39 +280,26 @@ class ColumnarTraceWriter:
             stack.pop()
             if not stack:
                 del per[sid]
-            d = self._flat_depth[sid] - 1
-            if d:
-                self._flat_depth[sid] = d
-            else:
-                del self._flat_depth[sid]
-                del self._flat_start[sid]
-        self._clock(time)
-        node_field = encode_node(node_id)
-        if node_field >= _ID_LIMIT:
-            raise CodecError(f"node id {node_id} out of u32 range")
+        if not self._timed:
+            self._first_time(time)
+        self._last_time = time
         self._order.append(REC_TRANS)
         self._trans_t.append(time)
         self._trans_sid.append(sid)
-        self._trans_kind.append(1 if activate else 0)
+        self._trans_kind.append(activate)
         self._trans_node.append(node_field)
-        self._seg_sids.add(sid)
-        self._seg_levels |= 1 << self._sent_level[sid]
         self.transitions += 1
 
     def metric_sample(
         self, time: float, name: str, focus: str = "", value: float = 0.0, units: str = ""
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        nsid = self._strings.intern(name, self._scratch)
-        fsid = self._strings.intern(focus, self._scratch)
-        usid = self._strings.intern(units, self._scratch)
-        self._clock(time)
+        """Record one metric sample (the ``MetricManager`` recorder target)."""
+        self._begin_record(time)
         self._order.append(REC_METRIC)
         self._met_t.append(time)
-        self._met_name.append(nsid)
-        self._met_focus.append(fsid)
-        self._met_units.append(usid)
+        self._met_name.append(self._strings.intern(name))
+        self._met_focus.append(self._strings.intern(focus))
+        self._met_units.append(self._strings.intern(units))
         self._met_val.append(value)
         self.metric_samples_count += 1
 
@@ -313,19 +310,19 @@ class ColumnarTraceWriter:
         destination: Sentence,
         origin: MappingOrigin = MappingOrigin.DYNAMIC,
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        src = self._intern_sentence(source)
-        dst = self._intern_sentence(destination)
-        self._clock(time)
+        """Record one dynamic-mapping event."""
+        self._begin_record(time)
+        src = self._sent_ids.get(source)
+        if src is None:
+            src = self._intern_sentence(source)
+        dst = self._sent_ids.get(destination)
+        if dst is None:
+            dst = self._intern_sentence(destination)
         self._order.append(REC_MAP)
         self._map_t.append(time)
         self._map_src.append(src)
         self._map_dst.append(dst)
         self._map_org.append(ORIGIN_CODES[origin])
-        self._seg_sids.add(src)
-        self._seg_sids.add(dst)
-        self._seg_levels |= (1 << self._sent_level[src]) | (1 << self._sent_level[dst])
         self.mappings_count += 1
 
     # -- conveniences -----------------------------------------------------
@@ -341,31 +338,36 @@ class ColumnarTraceWriter:
             self.transition(event.time, event.kind, event.sentence, event.node_id)
 
     # -- internals --------------------------------------------------------
-    def _check_open(self) -> None:
+    def _begin_record(self, time: float) -> None:
+        """The checks :meth:`transition` inlines, for the rarer record kinds."""
         if self._closed:
             raise ValueError(f"ColumnarTraceWriter({self.path}) is closed")
+        if len(self._order) >= self.segment_records:
+            self._roll()
+        if time < self._last_time and self._timed:
+            raise ValueError(f"trace time went backwards: {time} < {self._last_time}")
+        if not self._timed:
+            self._first_time(time)
+        self._last_time = time
+
+    def _first_time(self, time: float) -> None:
+        self._timed = True
+        self._t0 = self._seg_t_min = time
 
     def _intern_sentence(self, sentence: Sentence) -> int:
-        sid = self._sents.intern(sentence, self._scratch)
-        if sid == len(self._sent_level):
-            level = sentence.abstraction
-            lid = self._levels.setdefault(level, len(self._levels))
-            self._sent_level.append(lid)
+        sid = self._sents.intern(sentence)
         if sid >= _ID_LIMIT:  # pragma: no cover - 4e9 distinct sentences
             raise CodecError("sentence id out of u32 range")
+        level = sentence.abstraction
+        self._sent_level.append(self._levels.setdefault(level, len(self._levels)))
         return sid
 
-    def _clock(self, time: float) -> None:
-        if self._timed:
-            if time < self._last_time:
-                raise ValueError(
-                    f"trace time went backwards: {time} < {self._last_time}"
-                )
-        else:
-            self._t0 = time
-            self._seg_t_min = time
-        self._t1 = self._last_time = time
-        self._timed += 1
+    def _intern_node(self, node_id: int | None) -> tuple[int, dict[int, list[float]]]:
+        field = encode_node(node_id)
+        if field >= _ID_LIMIT:
+            raise CodecError(f"node id {node_id} out of u32 range")
+        self._nodes[node_id] = node = (field, {})
+        return node
 
     def _open_segment(self) -> None:
         self._order = bytearray()
@@ -382,8 +384,6 @@ class ColumnarTraceWriter:
         self._map_src = array(_U32)
         self._map_dst = array(_U32)
         self._map_org = bytearray()
-        self._seg_sids: set[int] = set()
-        self._seg_levels = 0
         self._seg_t_min = self._last_time
         # state before the segment's first record, for the embedded snapshot
         self._seg_snapshot = self._encode_snapshot()
@@ -391,13 +391,13 @@ class ColumnarTraceWriter:
     def _encode_snapshot(self) -> bytes:
         buf = bytearray()
         entries = [
-            (node, sid, stack)
-            for node, per in self._state.items()
+            (field, sid, stack)
+            for field, per in self._nodes.values()
             for sid, stack in per.items()
         ]
         append_uvarint(buf, len(entries))
-        for node, sid, stack in entries:
-            append_uvarint(buf, encode_node(node))
+        for field, sid, stack in entries:
+            append_uvarint(buf, field)
             append_uvarint(buf, sid)
             append_uvarint(buf, len(stack))
             for t in stack:
@@ -411,10 +411,20 @@ class ColumnarTraceWriter:
             buf += _F64.pack(self._flat_start[sid])
         return bytes(buf)
 
-    def _maybe_roll(self) -> None:
-        if len(self._order) >= self.segment_records:
-            self._flush_segment()
-            self._open_segment()
+    def _roll(self) -> None:
+        self._flush_segment()
+        depth, start = self._flat_depth, self._flat_start
+        for time, sid, activate in zip(self._trans_t, self._trans_sid, self._trans_kind):
+            d = depth.get(sid, 0)
+            if activate:
+                if d == 0:
+                    start[sid] = time
+                depth[sid] = d + 1
+            elif d == 1:
+                del depth[sid], start[sid]
+            else:
+                depth[sid] = d - 1
+        self._open_segment()
 
     def _flush_segment(self) -> None:
         if not self._order:
@@ -444,6 +454,13 @@ class ColumnarTraceWriter:
             append_uvarint(buf, cid)
             append_uvarint(buf, len(raw))
             buf += raw
+        # the zone map: sentences touched by transitions and mappings, and
+        # the union of their levels' bits
+        sids = frozenset(self._trans_sid).union(self._map_src, self._map_dst)
+        sent_level = self._sent_level
+        level_mask = 0
+        for sid in sids:
+            level_mask |= 1 << sent_level[sid]
         self._segments.append(
             SegmentMeta(
                 offset=self._offset,
@@ -454,8 +471,8 @@ class ColumnarTraceWriter:
                 t_min=self._seg_t_min,
                 t_max=self._last_time,
                 trans_t_max=self._trans_t[-1] if self._trans_t else self._seg_t_min,
-                level_mask=self._seg_levels,
-                sids=frozenset(self._seg_sids),
+                level_mask=level_mask,
+                sids=sids,
             )
         )
         self._fh.write(buf)
@@ -474,8 +491,7 @@ class ColumnarTraceWriter:
         self._sents.encode_table(footer)
         append_uvarint(footer, len(self._levels))
         for name in self._levels:  # insertion order == level id order
-            sid = self._strings.intern(name, self._scratch)
-            append_uvarint(footer, sid)
+            append_uvarint(footer, self._strings.intern(name))
         append_uvarint(footer, len(self._segments))
         for seg in self._segments:
             append_uvarint(footer, seg.offset)
@@ -496,7 +512,7 @@ class ColumnarTraceWriter:
         append_uvarint(footer, self.metric_samples_count)
         append_uvarint(footer, self.mappings_count)
         footer += _F64.pack(self._t0)
-        footer += _F64.pack(self._t1)
+        footer += _F64.pack(self._last_time)
         self._fh.write(footer)
         self._fh.write(_U64.pack(self._offset))
         self._fh.write(MAGIC_X_END)
@@ -518,14 +534,17 @@ class ColumnarTraceReader:
 
     Opening decodes only the footer (tables + zone maps); record bytes are
     touched lazily, column by column, as scans demand them.  The event
-    iterators yield values equal, record for record, to what the row
-    reader yields on the same run -- the converter round-trip test pins
-    this for every shipped study trace.
+    iterators yield values equal, record for record, to what was recorded.
     """
 
     def __init__(self, path: str | Path):
         self.path = str(path)
         data = map_readonly(self.path)
+        if data[: len(RETIRED_ROW_MAGIC)] == RETIRED_ROW_MAGIC:
+            raise CodecError(
+                f"{self.path}: row-format .rtrc traces are retired; "
+                "record the run again to a .rtrcx file"
+            )
         if len(data) < len(MAGIC_X) + 1 + 12 or data[: len(MAGIC_X)] != MAGIC_X:
             raise CodecError(f"{self.path}: not an .rtrcx file")
         if data[len(MAGIC_X)] != VERSION_X:
@@ -775,8 +794,13 @@ class ColumnarTraceReader:
                 raise CodecError(f"{self.path}: corrupt mapping column") from exc
 
     def records(self) -> Iterator[tuple]:
-        """Every record, interleaved in recorded order (see
-        :meth:`TraceReader.records`); reconstructed from the ORDER column."""
+        """Every record, interleaved in recorded order.
+
+        Yields ``("trans", time, sentence, activate, node_id)``,
+        ``("metric", time, name, focus, value, units)``, and
+        ``("map", time, source, destination, origin)`` tuples,
+        reconstructed from the ORDER column.
+        """
         sentences = self.sentences
         strings = self.strings
         for i, seg in enumerate(self.segments):
@@ -907,8 +931,12 @@ class ColumnarTraceReader:
     # -- summaries -----------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        """True when the file holds no records at all (see
-        :meth:`TraceReader.is_empty` for why counts, not bounds, decide)."""
+        """True when the file holds no records at all.
+
+        Emptiness comes from the persisted counts, not the time bounds: the
+        footer records ``t0 == t1 == 0.0`` both for an empty trace and for
+        a real run spanning ``[0, 0]``.
+        """
         return not (self.transitions or self.metric_count or self.mapping_count)
 
     def time_bounds(self) -> tuple[float, float] | None:
@@ -968,91 +996,12 @@ class ColumnarTraceReader:
 
 
 # ----------------------------------------------------------------------
-# format dispatch + conversion
+# opening
 # ----------------------------------------------------------------------
-def open_trace(path: str | Path) -> TraceReader | ColumnarTraceReader:
-    """Open a trace file of either format, dispatching on its magic bytes."""
+def open_trace(path: str | Path) -> ColumnarTraceReader:
+    """Open a ``.rtrcx`` trace file; every failure is a :class:`CodecError`."""
     spath = str(path)
     try:
-        with open(spath, "rb") as fh:
-            magic = fh.read(4)
+        return ColumnarTraceReader(spath)
     except OSError as exc:
         raise CodecError(f"{spath}: cannot open: {exc}") from exc
-    if magic == MAGIC:
-        return TraceReader(spath)
-    if magic == MAGIC_X:
-        return ColumnarTraceReader(spath)
-    raise CodecError(f"{spath}: not a trace file (unknown magic {magic!r})")
-
-
-def _replay_records(reader, writer) -> int:
-    """Stream every record of ``reader`` into ``writer``, in order."""
-    n = 0
-    for rec in reader.records():
-        kind = rec[0]
-        if kind == "trans":
-            _, time, sent, activate, node = rec
-            writer.transition(
-                time,
-                EventKind.ACTIVATE if activate else EventKind.DEACTIVATE,
-                sent,
-                node,
-            )
-        elif kind == "metric":
-            _, time, name, focus, value, units = rec
-            writer.metric_sample(time, name, focus, value, units)
-        else:
-            _, time, src, dst, origin = rec
-            writer.mapping(time, src, dst, origin)
-        n += 1
-    return n
-
-
-def convert(
-    src: str | Path,
-    dst: str | Path,
-    *,
-    to: str | None = None,
-    segment_records: int = 4096,
-    snapshot_every: int = 1024,
-    metadata: dict | None = None,
-) -> dict:
-    """Losslessly convert between the row and columnar layouts.
-
-    The source format is sniffed from its magic bytes; the destination
-    defaults to the *other* layout (or to what the destination suffix
-    says), overridable with ``to="rtrc"``/``"rtrcx"``.  Metadata is
-    carried over unless ``metadata`` replaces it.  Returns a stats dict
-    (record count, byte sizes, formats).
-    """
-    reader = open_trace(src)
-    row_input = isinstance(reader, TraceReader)
-    if to is None:
-        suffix = str(dst).lower()
-        if suffix.endswith(".rtrc"):
-            to = "rtrc"
-        elif suffix.endswith(".rtrcx"):
-            to = "rtrcx"
-        else:
-            to = "rtrcx" if row_input else "rtrc"
-    if to not in ("rtrc", "rtrcx"):
-        raise ValueError(f"unknown target format {to!r} (use rtrc or rtrcx)")
-    meta = dict(reader.meta) if metadata is None else metadata
-    if to == "rtrcx":
-        writer = ColumnarTraceWriter(dst, segment_records=segment_records, metadata=meta)
-    else:
-        writer = TraceWriter(dst, snapshot_every=snapshot_every, metadata=meta)
-    try:
-        n = _replay_records(reader, writer)
-    finally:
-        writer.close()
-        reader.close()
-    return {
-        "source": str(src),
-        "destination": str(dst),
-        "from_format": "rtrc" if row_input else "rtrcx",
-        "to_format": to,
-        "records": n,
-        "source_bytes": Path(src).stat().st_size,
-        "destination_bytes": Path(dst).stat().st_size,
-    }

@@ -2,7 +2,7 @@
 
 The live SAS answers performance questions *as the run happens*; this module
 answers them *after* the run, from a recorded history (a
-:class:`~repro.trace.store.TraceReader`, an in-memory
+:class:`~repro.trace.columnar.ColumnarTraceReader`, an in-memory
 :class:`~repro.core.events.Trace`, or any event iterable):
 
 * :func:`evaluate_questions` replays the recorded transitions through a real
@@ -100,7 +100,7 @@ def question_name(question: PerformanceQuestion | QExpr | OrderedQuestion) -> st
 
 
 def _iter_events(source) -> Iterable[SentenceEvent]:
-    """Accept a TraceReader, Trace, or any SentenceEvent iterable."""
+    """Accept a trace reader, Trace, or any SentenceEvent iterable."""
     events = getattr(source, "events", None)
     if callable(events):
         return events()
@@ -140,12 +140,12 @@ def evaluate_questions(
     watchers = [(question_name(q), sas.attach_question(q)) for q in questions]
     # pushdown fast path: replay only the sentences the questions' patterns
     # can observe (watcher satisfaction cannot depend on any other
-    # sentence).  When the caller leaves ``end_time`` defaulted, the legacy
+    # sentence).  When the caller leaves ``end_time`` defaulted, the
     # default is the last *replayed* event's time, which a filtered replay
-    # would change -- so the default comes from the reader's
-    # transitions-only bound instead, and sources where that bound is a
-    # full extra walk (row files with no end_time and a node filter) keep
-    # the plain replay.
+    # would change -- so it comes from the reader's transitions-only bound
+    # instead.  With a node filter and no ``end_time`` that bound is the
+    # wrong one (it covers every node), so that case keeps the plain
+    # replay.
     events_iter = None
     end = end_time
     if hasattr(source, "scan_transitions") and (

@@ -10,10 +10,10 @@ over every trace source:
   reader's **sentence table** (footer-resident, a few hundred entries)
   instead of against millions of events, turning an arbitrary Python
   predicate into a sentence-id set a columnar scan can push down;
-* :func:`scan_transitions` dispatches to the columnar reader's zone-map
-  pruned column scan when the source supports it, and degrades to a plain
-  filtered replay for row readers, in-memory traces, and bare iterables --
-  callers never branch on the store layout;
+* :func:`scan_transitions` dispatches to the reader's zone-map pruned
+  column scan when the source supports it, and degrades to a plain
+  filtered replay for in-memory traces and bare iterables -- callers
+  never branch on the source type;
 * :func:`filtered_intervals` is :func:`~repro.trace.retro.sentence_intervals`
   with pushdown: per-sentence depth counting touches only the filtered
   sentences' events (exact, because depth is per-sentence state);
@@ -128,12 +128,12 @@ def scan_transitions(
 ) -> Iterator[SentenceEvent]:
     """Filtered transition scan over any trace source.
 
-    Columnar readers prune segments by zone map and decode only the
-    transition columns; every other source (row reader, in-memory trace,
-    bare iterable) replays with the same filters applied eventwise, so the
+    Trace readers prune segments by zone map and decode only the
+    transition columns; every other source (in-memory trace, bare
+    iterable) replays with the same filters applied eventwise, so the
     yielded stream is identical either way.  ``sids`` filters by sentence
-    table id (columnar/row readers only); ``matchers`` by pattern or
-    predicate (any source); both may combine.
+    table id (sources with a sentence table only); ``matchers`` by pattern
+    or predicate (any source); both may combine.
     """
     fast = getattr(source, "scan_transitions", None)
     preds = [_as_predicate(m) for m in matchers] if matchers is not None else None
@@ -228,7 +228,7 @@ def filtered_intervals(
 
 
 # ----------------------------------------------------------------------
-# parallel segment scans (columnar only)
+# parallel segment scans (trace readers only)
 # ----------------------------------------------------------------------
 #: per-process reader cache: workers reopen each trace file once, then
 #: every chunk routed to that worker reuses the mmap
@@ -306,7 +306,7 @@ def parallel_intervals(
 ) -> dict[Sentence, list[tuple[float, float]]]:
     """:func:`filtered_intervals` fanned across the sweep worker pool.
 
-    Only columnar readers parallelize (segments are the unit of
+    Only trace readers parallelize (segments are the unit of
     independence); every other source falls back to the serial scan.
     Zone-map pruning happens *before* fan-out, so workers never open a
     segment with no matching sentence.  The merge concatenates per-range

@@ -225,7 +225,7 @@ def random_trace(
     instant (exercising tie ordering in merges, snapshots, and codec time
     deltas).  Per-node causality holds by construction -- a deactivation
     never precedes its activation on that node -- so the result replays
-    cleanly through a SAS, a :class:`~repro.trace.TraceWriter`, or the
+    cleanly through a SAS, a :class:`~repro.trace.ColumnarTraceWriter`, or the
     retrospective analyses.  Some activations stay open at the end.
     """
     from ..core import Trace

@@ -6,6 +6,7 @@ and the shipped fig6 sample trace linted together with its program's
 static mapping information must produce zero errors.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,43 +15,53 @@ from repro.analyze import Severity, lint_paths, sanitize_trace
 from repro.core import EventKind, Sentence, SentenceEvent, Noun, Verb
 from repro.pif import generate_pif, loads
 from repro.cmfortran import compile_source
-from repro.trace import TraceReader, TraceWriter
+from repro.trace import ColumnarTraceWriter, open_trace
 from repro.unixsim import FunctionSpec, run_figure7_study
 from repro.workloads import HPF_FRAGMENT
 
 REPO = Path(__file__).resolve().parents[2]
-FIG6 = REPO / "benchmarks" / "out" / "sample_fig6.rtrc"
+FIG6 = REPO / "benchmarks" / "out" / "sample_fig6.rtrcx"
+
+#: what the sanitizer reported for ``record_unix(causal=False,
+#: idle_tail=False)`` on the retired row format, pinned when it was removed
+ROW_ERA_LEAK = (
+    "NV013",
+    "attribution leak: no sentence at level 'UNIX Kernel' has a static mapping "
+    "path or co-activity with the top abstraction; all its cost is lost "
+    "({disk0 DiskWrite})",
+)
 
 
-def record_unix(path: Path, causal: bool, idle_tail: bool) -> None:
+def record_unix(path: Path, causal: bool, idle_tail: bool, segment_records: int = 4096) -> None:
     script = [
         FunctionSpec(f"f{i}", writes=n, compute_time=4e-4) for i, n in enumerate([2, 1, 1])
     ]
     if idle_tail:
         script.append(FunctionSpec("idle_tail", writes=0, compute_time=2e-2))
-    with TraceWriter(str(path), metadata={"study": "unix", "causal": causal}) as w:
+    meta = {"study": "unix", "causal": causal}
+    with ColumnarTraceWriter(str(path), segment_records=segment_records, metadata=meta) as w:
         run_figure7_study(script, causal=causal, recorder=w)
 
 
 def test_seeded_leak_is_nv013(tmp_path):
-    path = tmp_path / "leak.rtrc"
+    path = tmp_path / "leak.rtrcx"
     record_unix(path, causal=False, idle_tail=False)
-    diags = sanitize_trace(TraceReader(str(path)), None, "leak.rtrc")
+    diags = sanitize_trace(open_trace(path), None, "leak.rtrcx")
     assert [d.code for d in diags] == ["NV013"]
     assert diags[0].severity is Severity.ERROR
     assert "UNIX Kernel" in diags[0].message
 
 
 def test_causal_run_is_clean(tmp_path):
-    path = tmp_path / "ok.rtrc"
+    path = tmp_path / "ok.rtrcx"
     record_unix(path, causal=True, idle_tail=True)
-    assert sanitize_trace(TraceReader(str(path)), None, "ok.rtrc") == []
+    assert sanitize_trace(open_trace(path), None, "ok.rtrcx") == []
 
 
 def test_fig6_sample_trace_has_zero_errors():
     program = compile_source(HPF_FRAGMENT, "fragment.cmf")
     doc = generate_pif(program.listing)
-    diags = sanitize_trace(TraceReader(str(FIG6)), doc, "sample_fig6.rtrc")
+    diags = sanitize_trace(open_trace(FIG6), doc, "sample_fig6.rtrcx")
     assert all(d.severity < Severity.ERROR for d in diags)
 
 
@@ -202,44 +213,34 @@ def test_lint_paths_fig6_acceptance(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# layout parity: columnar traces sanitize byte-identically to row traces
+# row-era parity: findings match what the retired row format reported
 # ----------------------------------------------------------------------
 def _normalized_lint_json(path: Path, jobs=None) -> str:
     from repro.analyze import format_json
 
     text = format_json(lint_paths([str(path)], jobs=jobs))
-    # the path is the only legitimate difference between the two layouts
     return text.replace(str(path), "<trace>")
 
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_columnar_trace_sanitizes_byte_identically(tmp_path, causal):
-    from repro.trace.columnar import convert
-
-    row = tmp_path / "run.rtrc"
+    col = tmp_path / "run.rtrcx"
     # causal=False without an idle tail seeds an NV013 leak, so one of the
     # two parametrizations compares a non-empty finding list
-    record_unix(row, causal=causal, idle_tail=causal)
-    col = tmp_path / "run.rtrcx"
-    convert(row, col, segment_records=64)
-    row_out = _normalized_lint_json(row)
-    assert _normalized_lint_json(col) == row_out
+    record_unix(col, causal=causal, idle_tail=causal, segment_records=64)
+    serial = _normalized_lint_json(col)
+    found = [(d["code"], d["message"]) for d in json.loads(serial)["diagnostics"]]
+    assert found == ([] if causal else [ROW_ERA_LEAK])
     # the parallel segment scan must not change a single finding either
-    assert _normalized_lint_json(col, jobs=2) == row_out
+    assert _normalized_lint_json(col, jobs=2) == serial
 
 
 def test_columnar_leak_findings_match_row_exactly(tmp_path):
     from repro.analyze import sort_diagnostics
-    from repro.trace.columnar import convert, open_trace as open_columnar
 
-    row = tmp_path / "leak.rtrc"
-    record_unix(row, causal=False, idle_tail=False)
     col = tmp_path / "leak.rtrcx"
-    convert(row, col, segment_records=32)
-    row_diags = sanitize_trace(TraceReader(str(row)), None, "t")
-    with open_columnar(str(col)) as reader:
+    record_unix(col, causal=False, idle_tail=False, segment_records=32)
+    with open_trace(col) as reader:
         col_diags = sanitize_trace(reader, None, "t", jobs=2)
-    assert [str(d) for d in sort_diagnostics(row_diags)] == [
-        str(d) for d in sort_diagnostics(col_diags)
-    ]
-    assert any(d.code == "NV013" for d in col_diags)
+    code, message = ROW_ERA_LEAK
+    assert [str(d) for d in sort_diagnostics(col_diags)] == [f"t: error {code}: {message}"]

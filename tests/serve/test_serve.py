@@ -249,20 +249,15 @@ def test_serve_debug_reraises(monkeypatch):
         main(["serve"])
 
 
-def test_trace_source_sniffs_both_formats(tmp_path):
-    row = tmp_path / "db.rtrc"
-    assert main(["trace", "record", "db", "--out", str(row)]) == 0
+def test_trace_source_reads_magic_not_suffix(tmp_path):
     col = tmp_path / "db.rtrcx"
-    assert main(["trace", "convert", str(row), str(col)]) == 0
-    # misleading suffix: open_trace sniffs the magic bytes, not the name
+    assert main(["trace", "record", "db", "--out", str(col)]) == 0
+    # misleading suffix: the reader checks the magic bytes, not the name
     disguised = tmp_path / "actually_columnar.rtrc"
     disguised.write_bytes(col.read_bytes())
-    for path in (row, col, disguised):
+    for path in (col, disguised):
         source = TraceSource(str(path))
-        assert source.reader.__class__.__name__ in (
-            "TraceReader",
-            "ColumnarTraceReader",
-        )
+        assert source.reader.__class__.__name__ == "ColumnarTraceReader"
         source.close()
 
 
