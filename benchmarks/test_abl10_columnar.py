@@ -43,7 +43,7 @@ from repro.trace import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
     SASState,
-    evaluate_questions,
+    evaluate_question_batch,
     parse_pattern,
     sentence_intervals,
     windowed_attribution,
@@ -131,10 +131,10 @@ def _measure_query(path: str) -> dict:
 
     def full_replay():
         # a bare event stream has no scan to push the question into
-        return evaluate_questions(col.events(), questions, end_time=end)
+        return evaluate_question_batch(col.events(), questions, end_time=end)
 
     def pushdown():
-        return evaluate_questions(col, questions, end_time=end)
+        return evaluate_question_batch(col, questions, end_time=end)
 
     full_ans, push_ans = full_replay(), pushdown()
     assert {k: vars(v) for k, v in full_ans.items()} == {

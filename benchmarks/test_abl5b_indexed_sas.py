@@ -30,11 +30,11 @@ from repro.core import (
     PerformanceQuestion,
     SentencePattern,
     Verb,
-    make_sas,
     sentence,
 )
 from repro.dbsim import query_active, server_disk_read
 from repro.paradyn import text_table
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 SUM = Verb("Sum", "HPF")
 ACTIVE = 10_000
@@ -48,8 +48,8 @@ INDEXED_CYCLES = 2000
 NAIVE_CYCLES = 2
 
 
-def _build(engine: str):
-    sas = make_sas(engine)
+def _build(engine: type[ActiveSentenceSet]):
+    sas = engine()
     for s in BACKGROUND:
         sas.activate(s)
     for q in range(QUESTIONS):
@@ -59,7 +59,7 @@ def _build(engine: str):
     return sas
 
 
-def _throughput(engine: str, cycles: int) -> float:
+def _throughput(engine: type[ActiveSentenceSet], cycles: int) -> float:
     """Notifications per second for activate+deactivate probe cycles."""
     sas = _build(engine)
     t0 = time.perf_counter()
@@ -71,20 +71,20 @@ def _throughput(engine: str, cycles: int) -> float:
 
 
 def run_experiment():
-    indexed = _throughput("indexed", INDEXED_CYCLES)
-    naive = _throughput("naive", NAIVE_CYCLES)
+    indexed = _throughput(ActiveSentenceSet, INDEXED_CYCLES)
+    naive = _throughput(NaiveActiveSentenceSet, NAIVE_CYCLES)
     return indexed, naive
 
 
 # -- shared-component scenario ---------------------------------------------
 SHARED_QUESTIONS = 120
 SHARED_ACTIVE = 4
-SHARED_CYCLES = {"indexed": 5000, "naive": 500}
+SHARED_CYCLES = {ActiveSentenceSet: 5000, NaiveActiveSentenceSet: 500}
 DISK_READ = server_disk_read()
 
 
-def _build_shared(engine: str):
-    sas = make_sas(engine)
+def _build_shared(engine: type[ActiveSentenceSet]):
+    sas = engine()
     watchers = [
         sas.attach_question(
             PerformanceQuestion(
@@ -103,7 +103,7 @@ def _build_shared(engine: str):
     return sas, watchers
 
 
-def _shared_throughput(engine: str) -> float:
+def _shared_throughput(engine: type[ActiveSentenceSet]) -> float:
     """Notifications per second for disk-read probe cycles."""
     sas, _ = _build_shared(engine)
     cycles = SHARED_CYCLES[engine]
@@ -118,7 +118,7 @@ def _shared_visits(cycles: int = 200) -> tuple[int, int, int]:
     """(watcher visits, SAS transitions, watcher transitions) of the indexed
     engine over ``cycles`` probe cycles; visits are counted from the
     ``affected_watchers`` lists the engine takes its visits from."""
-    sas, watchers = _build_shared("indexed")
+    sas, watchers = _build_shared(ActiveSentenceSet)
     visits = 0
 
     def counting(sent):
@@ -136,8 +136,8 @@ def _shared_visits(cycles: int = 200) -> tuple[int, int, int]:
 
 
 def run_shared_experiment():
-    indexed = _shared_throughput("indexed")
-    naive = _shared_throughput("naive")
+    indexed = _shared_throughput(ActiveSentenceSet)
+    naive = _shared_throughput(NaiveActiveSentenceSet)
     return indexed, naive, _shared_visits()
 
 

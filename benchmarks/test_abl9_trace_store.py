@@ -38,7 +38,7 @@ from repro.trace import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
     SASState,
-    evaluate_questions,
+    evaluate_question_batch,
     parse_pattern,
     windowed_attribution,
     windowed_mappings,
@@ -135,7 +135,7 @@ def _fig6_retro_vs_live(sample_path: str) -> dict:
         for name, w in watchers.items()
     }
     reader = ColumnarTraceReader(sample_path)
-    answers = evaluate_questions(
+    answers = evaluate_question_batch(
         reader, FIG6_QUESTIONS, end_time=tool.elapsed, node=0
     )
     retro = {name: (a.satisfied_time, a.transitions) for name, a in answers.items()}

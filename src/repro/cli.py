@@ -302,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true", help="serve a single batch, then exit"
     )
     p_serve.add_argument(
-        "--shards", type=int, default=1,
-        help="consistent-hash shards for the pattern-node table",
-    )
-    p_serve.add_argument(
         "--reject-dead",
         action="store_true",
         help="refuse subscriptions containing provably dead questions "
@@ -640,7 +636,7 @@ def _trace_query(args) -> int:
 
     from .core import OrderedQuestion, PerformanceQuestion
     from .trace import (
-        evaluate_questions,
+        evaluate_question_batch,
         open_trace,
         parse_pattern,
         trace_stats,
@@ -653,7 +649,7 @@ def _trace_query(args) -> int:
         components = tuple(parse_pattern(text) for text in args.pattern)
         cls = OrderedQuestion if args.ordered else PerformanceQuestion
         question = cls(" & ".join(args.pattern), components)
-        answers = evaluate_questions(reader, [question], node=args.node)
+        answers = evaluate_question_batch(reader, [question], node=args.node)
         payload["questions"] = {
             name: {
                 "satisfied_time": a.satisfied_time,
@@ -911,7 +907,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         subscribers=args.subscribers,
         once=args.once,
-        shards=args.shards,
         port_file=args.port_file,
         reject_dead=args.reject_dead,
     )

@@ -28,7 +28,6 @@ from .cost import (
 from .events import EventKind, SentenceEvent, Trace
 from .mapping import Mapping, MappingGraph, MappingOrigin, MappingType
 from .multiq import (
-    HashRing,
     MultiQuestionEngine,
     MultiWatcher,
     PatternNode,
@@ -47,13 +46,10 @@ from .questions import (
     SentencePattern,
 )
 from .sas import (
-    SAS_ENGINES,
     ActiveSentenceSet,
     DynamicMappingRecorder,
-    NaiveActiveSentenceSet,
     QuestionWatcher,
     interest_from_questions,
-    make_sas,
 )
 
 __all__ = [
@@ -70,7 +66,6 @@ __all__ = [
     "CostVector",
     "DynamicMappingRecorder",
     "EventKind",
-    "HashRing",
     "interest_from_questions",
     "Mapping",
     "MappingGraph",
@@ -80,7 +75,6 @@ __all__ = [
     "MergePolicy",
     "MultiQuestionEngine",
     "MultiWatcher",
-    "NaiveActiveSentenceSet",
     "PatternNode",
     "Subscription",
     "Noun",
@@ -93,7 +87,6 @@ __all__ = [
     "QOr",
     "QuestionWatcher",
     "Resource",
-    "SAS_ENGINES",
     "Sentence",
     "sentence",
     "SentenceEvent",
@@ -109,5 +102,4 @@ __all__ = [
     "aggregate_sum",
     "assign_costs",
     "attribution_error",
-    "make_sas",
 ]

@@ -19,12 +19,10 @@ exploits that so the marginal subscription is nearly free:
   sentence is matched by descending from the lattice roots and pruning every
   sub-lattice whose root fails -- a sentence that misses ``{A Sum}`` can
   never match ``{A B Sum}``;
-* **consistent-hash sharding** -- nodes partition into shards by their
-  level/noun discriminator (:meth:`~repro.core.questions.SentencePattern.index_key`)
-  on a :class:`HashRing`, so a transition touches only the shards whose key
-  space its sentence carries, and the per-shard work is independent --
-  the fan-out unit for the ``repro serve`` front end and the per-node
-  replicated SAS;
+* **candidate-key routing** -- every node's level/noun/verb discriminator
+  (:meth:`~repro.core.questions.SentencePattern.index_key`) goes into one
+  key set, so a sentence carrying none of those keys (and no wildcard-only
+  node exists) skips the lattice without a single pattern test;
 * **per-question dirty bits** -- a transition updates the (few) matching
   nodes, then re-evaluates only the subscriptions whose nodes changed
   observable state: boolean questions only on a count 0<->1 flip, ordered
@@ -42,8 +40,6 @@ ablation abl11.
 
 from __future__ import annotations
 
-import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -60,55 +56,19 @@ from .questions import (
 )
 
 __all__ = [
-    "HashRing",
     "PatternNode",
     "MultiWatcher",
     "Subscription",
     "MultiQuestionEngine",
+    "question_name",
 ]
 
 Question = PerformanceQuestion | QExpr | OrderedQuestion
 
-#: Shard key for patterns with no concrete discriminator (wildcard-only):
-#: their shard is routed on every transition.
-_WILDCARD_KEY = ("*", "*")
 
-
-def _stable_hash(text: str) -> int:
-    """A process-stable 64-bit hash (``hash()`` is salted per process)."""
-    return int.from_bytes(
-        hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"
-    )
-
-
-class HashRing:
-    """Consistent hashing of discriminator keys onto ``shards`` buckets.
-
-    Each shard owns ``replicas`` points on a 64-bit ring; a key maps to the
-    first point at or after its own hash.  Adding or removing one shard
-    moves only ~1/shards of the key space -- the property that lets a
-    long-running ``repro serve`` grow its worker pool without re-homing
-    every pattern node.
-    """
-
-    def __init__(self, shards: int, replicas: int = 64):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.shards = shards
-        points = [
-            (_stable_hash(f"shard{k}:{r}"), k)
-            for k in range(shards)
-            for r in range(replicas)
-        ]
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._owners = [k for _, k in points]
-
-    def shard_for(self, key: object) -> int:
-        if self.shards == 1:
-            return 0
-        i = bisect_right(self._hashes, _stable_hash(repr(key)))
-        return self._owners[i % len(self._owners)]
+def question_name(question: Question) -> str:
+    """The stable key a question's answers are reported under."""
+    return getattr(question, "name", None) or str(question)
 
 
 @dataclass(eq=False)
@@ -117,14 +77,13 @@ class PatternNode:
 
     pid: int
     pattern: SentencePattern
-    shard: int
     count: int = 0  # active sentences currently matching
     #: time-sorted (sentence, outermost activation time), maintained only
     #: while some OrderedQuestion references this node (rebuilt from live
     #: membership when the first ordered subscriber attaches)
     entries: list[tuple[Sentence, float]] = field(default_factory=list)
-    parents: list[int] = field(default_factory=list)  # subsuming nodes (same shard)
-    children: list[int] = field(default_factory=list)  # subsumed nodes (same shard)
+    parents: list[int] = field(default_factory=list)  # subsuming nodes
+    children: list[int] = field(default_factory=list)  # subsumed nodes
     bool_subs: set[int] = field(default_factory=set)
     ordered_subs: set[int] = field(default_factory=set)
 
@@ -195,19 +154,6 @@ class Subscription:
     key: tuple  # structural-equivalence key
 
 
-class _Shard:
-    """One shard's sub-lattice: the unit of routed matching work."""
-
-    __slots__ = ("index", "nids", "keys", "always", "roots")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.nids: list[int] = []
-        self.keys: set[tuple[str, str]] = set()
-        self.always = False  # owns a wildcard-only node: routed every time
-        self.roots: list[int] = []
-
-
 class MultiQuestionEngine:
     """Evaluate many questions over one transition stream, sharing work.
 
@@ -222,11 +168,14 @@ class MultiQuestionEngine:
     :class:`~repro.core.sas.QuestionWatcher` ignores them.
     """
 
-    def __init__(self, shards: int = 1):
-        self.ring = HashRing(shards)
-        self.shards = [_Shard(k) for k in range(shards)]
+    def __init__(self) -> None:
         self._nodes: list[PatternNode] = []
         self._by_pattern: dict[SentencePattern, int] = {}
+        # lattice roots, and the discriminator keys of every node (a
+        # wildcard-only node has none: ``_always`` routes every sentence)
+        self._roots: list[int] = []
+        self._keys: set[tuple[str, str]] = set()
+        self._always = False
         self._subs: list[Subscription] = []
         self._by_key: dict[tuple, int] = {}
         self._names: dict[str, int] = {}
@@ -240,7 +189,6 @@ class MultiQuestionEngine:
         self.membership_changes = 0  # outermost activate / last deactivate
         self.node_updates = 0  # per-node count/entry updates applied
         self.evaluations = 0  # subscription re-evaluations (dirty only)
-        self.shard_touches: list[int] = [0] * shards
 
     # ------------------------------------------------------------------
     # node table + lattice
@@ -250,28 +198,23 @@ class MultiQuestionEngine:
         nid = self._by_pattern.get(canon)
         if nid is not None:
             return nid
-        shard_key = canon.index_key() or _WILDCARD_KEY
-        shard = self.shards[self.ring.shard_for(shard_key)]
         nid = len(self._nodes)
-        node = PatternNode(nid, canon, shard.index)
-        # lattice edges live within the owning shard (descent is per shard;
-        # a cross-shard subsumer would prune nodes the router never visits)
-        for other_id in shard.nids:
-            other = self._nodes[other_id]
+        node = PatternNode(nid, canon)
+        for other in self._nodes:
             if other.pattern.subsumes(canon):
                 other.children.append(nid)
-                node.parents.append(other_id)
+                node.parents.append(other.pid)
             if canon.subsumes(other.pattern):
-                node.children.append(other_id)
+                node.children.append(other.pid)
                 other.parents.append(nid)
         self._nodes.append(node)
         self._by_pattern[canon] = nid
-        shard.nids.append(nid)
-        if shard_key == _WILDCARD_KEY:
-            shard.always = True
+        key = canon.index_key()
+        if key is None:
+            self._always = True
         else:
-            shard.keys.add(shard_key)
-        shard.roots = [i for i in shard.nids if not self._nodes[i].parents]
+            self._keys.add(key)
+        self._roots = [n.pid for n in self._nodes if not n.parents]
         # existing cached match sets don't know about the new node
         self._match_cache.clear()
         # seed from current membership so late subscriptions see true state
@@ -291,10 +234,8 @@ class MultiQuestionEngine:
         candidates = {("v", sent.verb.name), ("l", sent.abstraction)}
         for noun in sent.nouns:
             candidates.add(("n", noun.name))
-        for shard in self.shards:
-            if not shard.always and not (shard.keys & candidates):
-                continue  # no node in this shard can match: never touched
-            stack = list(shard.roots)
+        if self._always or not self._keys.isdisjoint(candidates):
+            stack = list(self._roots)
             seen: set[int] = set()
             while stack:
                 nid = stack.pop()
@@ -369,7 +310,7 @@ class MultiQuestionEngine:
         else:
             raise TypeError(f"cannot subscribe {question!r}")
         key = self._structural_key(kind, nids, program)
-        effective_name = name if name is not None else _question_name(question)
+        effective_name = name if name is not None else question_name(question)
         existing = self._by_key.get(key)
         if existing is not None:
             sub = self._subs[existing]
@@ -516,12 +457,10 @@ class MultiQuestionEngine:
         if not nids:
             return
         nodes = self._nodes
-        touches = self.shard_touches
         dirty: set[int] = set()
         for nid in nids:
             node = nodes[nid]
             self.node_updates += 1
-            touches[node.shard] += 1
             if became_active:
                 node.count += 1
                 if node.count == 1:
@@ -607,17 +546,3 @@ class MultiQuestionEngine:
             name: self._subs[sid].watcher.closed_intervals(end_time)
             for name, sid in self._names.items()
         }
-
-    def shard_summary(self) -> dict[str, object]:
-        """Node and touch distribution across shards (the fan-out balance)."""
-        sizes = [len(s.nids) for s in self.shards]
-        return {
-            "shards": len(self.shards),
-            "nodes": len(self._nodes),
-            "nodes_per_shard": sizes,
-            "touches_per_shard": list(self.shard_touches),
-        }
-
-
-def _question_name(question: Question) -> str:
-    return getattr(question, "name", None) or str(question)

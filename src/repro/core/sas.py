@@ -26,30 +26,21 @@ Key behaviours reproduced here:
   fault-tolerant batching bus; :mod:`repro.dbsim.forwarding` keeps the
   naive fire-and-forget baseline).
 
-Two engines implement these semantics:
-
-* :class:`ActiveSentenceSet` -- the production **indexed** engine.
-  Conjunction questions are evaluated by *watched component*: one shared,
-  refcounted table holds each canonical component pattern with its count
-  of matching active sentences, an unsatisfied watcher is parked on one
-  zero-count component and a satisfied one is listed under all of its
-  components, so a transition visits only the watchers whose satisfaction
-  it can flip -- however many questions share a component.  :class:`QExpr`
-  and :class:`OrderedQuestion` watchers are bucketed in an inverted index
-  keyed by each pattern's most selective discriminator (see
-  :meth:`~repro.core.questions.SentencePattern.index_key`) and keep
-  incremental state -- a flattened boolean tree with per-leaf counts, a
-  time-sorted relevant-activation list -- so no notification rescans the
-  active set.
-* :class:`NaiveActiveSentenceSet` -- the thin reference implementation that
-  re-evaluates every watcher by full scan on every handled notification.
-  It exists to be obviously correct: the differential oracle
-  (``tests/core/test_sas_differential.py``) replays generated traces through
-  both engines and asserts identical observable state.
-
-Select an engine with :func:`make_sas`; ablation abl5b
-(``benchmarks/test_abl5b_indexed_sas.py``) records the indexed engine's
-speedup next to abl5.
+Conjunction questions are evaluated by *watched component*: one shared,
+refcounted table holds each canonical component pattern with its count of
+matching active sentences, an unsatisfied watcher is parked on one
+zero-count component and a satisfied one is listed under all of its
+components, so a transition visits only the watchers whose satisfaction it
+can flip -- however many questions share a component.  :class:`QExpr` and
+:class:`OrderedQuestion` watchers are bucketed in an inverted index keyed by
+each pattern's most selective discriminator (see
+:meth:`~repro.core.questions.SentencePattern.index_key`) and keep
+incremental state -- a flattened boolean tree with per-leaf counts, a
+time-sorted relevant-activation list -- so no notification rescans the
+active set.  The full-rescan reference engine that this one is
+differentially tested against lives in ``tests/core/naive_sas.py``
+(``tests/core/test_sas_differential.py``); ablation abl5b
+(``benchmarks/test_abl5b_indexed_sas.py``) records the speedup over it.
 """
 
 from __future__ import annotations
@@ -74,11 +65,8 @@ from .questions import (
 __all__ = [
     "QuestionWatcher",
     "ActiveSentenceSet",
-    "NaiveActiveSentenceSet",
     "DynamicMappingRecorder",
     "interest_from_questions",
-    "make_sas",
-    "SAS_ENGINES",
 ]
 
 
@@ -256,8 +244,7 @@ class QuestionWatcher:
     a :class:`_IncrementalExpr` tree or an :class:`_IncrementalOrdered`
     activation list (``_seed`` builds it, ``_update`` applies membership
     deltas).  No notification rescans the active set (ablation
-    abl5/abl5b).  The naive engine never builds any of this and always
-    takes the full-scan ``_update_full`` path.
+    abl5/abl5b).
 
     Watchers compare by identity (``eq=False``) so they can live in index
     buckets and be detached unambiguously.
@@ -308,10 +295,6 @@ class QuestionWatcher:
                 return  # irrelevant sentence: satisfaction cannot change
             new = ordered.evaluate()
         self._apply(new, now)
-
-    def _update_full(self, sas: "ActiveSentenceSet", now: float) -> None:
-        """Naive-engine path: unconditional full re-evaluation."""
-        self._apply(self._evaluate(sas), now)
 
     def _apply(self, new: bool, now: float) -> None:
         if new == self.satisfied:
@@ -571,7 +554,7 @@ class ActiveSentenceSet:
     def detach_recorder(self, hook: Callable[[Sentence, bool, float], None]) -> None:
         self.on_transition.remove(hook)
 
-    # -- index hooks (overridden by the naive engine) ----------------------
+    # -- index hooks (overridden by the tests' full-rescan reference) -------
     def _register_watcher(self, watcher: QuestionWatcher) -> None:
         """Index a new watcher and seed its state from current membership."""
         q = watcher.question
@@ -777,60 +760,6 @@ class ActiveSentenceSet:
             raise RuntimeError("cannot restrict a non-empty SAS")
         questions = [w.question for w in self.watchers]
         self.interest = interest_from_questions(questions)
-
-
-class NaiveActiveSentenceSet(ActiveSentenceSet):
-    """Thin reference implementation: full rescan on every notification.
-
-    No inverted index, no incremental watcher state: every handled
-    notification re-evaluates *every* attached watcher against a full scan
-    of the active set.  This is the obviously-correct executable
-    specification that the indexed :class:`ActiveSentenceSet` is
-    differentially tested against (``tests/core/test_sas_differential.py``).
-    Keep it dumb on purpose.
-    """
-
-    def _register_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
-    def _unregister_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
-    def affected_watchers(self, sent: Sentence) -> list[QuestionWatcher]:
-        return list(self.watchers)
-
-    def _update_watchers(
-        self,
-        now: float,
-        sent: Sentence,
-        became_member: bool | None,
-        visit: list[QuestionWatcher],
-    ) -> None:
-        for watcher in self.watchers:
-            watcher._update_full(self, now)
-
-
-#: Selectable SAS engines, keyed by the name :func:`make_sas` accepts.
-SAS_ENGINES: dict[str, type[ActiveSentenceSet]] = {
-    "indexed": ActiveSentenceSet,
-    "naive": NaiveActiveSentenceSet,
-}
-
-
-def make_sas(engine: str = "indexed", **kwargs) -> ActiveSentenceSet:
-    """Engine-selectable SAS constructor.
-
-    ``engine`` is ``"indexed"`` (the production engine, default) or
-    ``"naive"`` (the reference implementation); remaining keyword arguments
-    go to the engine constructor unchanged.
-    """
-    try:
-        cls = SAS_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown SAS engine {engine!r}; choose from {sorted(SAS_ENGINES)}"
-        ) from None
-    return cls(**kwargs)
 
 
 def interest_from_questions(

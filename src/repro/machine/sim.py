@@ -27,7 +27,7 @@ eliminates the per-event closure allocation the seed kernel paid for every
 resume.  :meth:`Simulator.run` drains all events sharing one timestamp in a
 tight inner loop (one clock write and one ``until`` check per *instant*
 instead of per event).  The seed kernel is preserved verbatim in
-:mod:`repro.machine.sim_legacy` as the differential oracle for these
+``tests/machine/sim_legacy.py`` as the differential oracle for these
 semantics.
 """
 

@@ -94,13 +94,13 @@ def run_db_scenario(
     mapping-derived question reproduces the live watcher's satisfied time).
     """
     from ..dbsim import run_db_study  # local import: dbsim pulls in machine
-    from ..trace.retro import evaluate_questions
+    from ..trace.retro import evaluate_question_batch
 
     questions = questions_from_document(doc)
     log = _EventLog()
     outcome = run_db_study(queries=queries, recorder=log, **study_kwargs)
     server_node = study_kwargs.get("num_clients", 1)
-    answers = evaluate_questions(
+    answers = evaluate_question_batch(
         log, questions, end_time=outcome.elapsed, node=server_node
     )
     return outcome, answers

@@ -4,10 +4,10 @@ The ROADMAP's millions-of-users story: clients POST Figure-6 question
 vectors and subscribe to satisfied-interval streams over recorded or live
 runs.  All concurrent subscriptions compile into **one** shared
 :class:`~repro.core.multiq.MultiQuestionEngine` plan per batch (interned
-patterns, subsumption lattice, per-question dirty bits, consistent-hash
-shards), so the recorded trace is replayed -- or the live dbsim run
-executed -- exactly once no matter how many subscribers are attached, and
-duplicate questions across clients collapse to one watcher.
+patterns, subsumption lattice, per-question dirty bits), so the recorded
+trace is replayed -- or the live dbsim run executed -- exactly once no
+matter how many subscribers are attached, and duplicate questions across
+clients collapse to one watcher.
 
 Protocol: newline-delimited JSON over TCP.
 
@@ -27,6 +27,9 @@ Server -> client (one line each)::
      "questions": {name: {"satisfied_time": s, "transitions": n,
                           "satisfied_at_end": b}}}
     {"event": "end"}
+    {"event": "error", "message": "..."}   # ends the stream without a
+                                           # summary: bad request, name
+                                           # clash or failed source
 
 Summary values are byte-identical to ``repro trace query`` on the same
 trace and question (same replay plan, same float accumulation order), and
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .core import EventKind, MultiQuestionEngine, OrderedQuestion, PerformanceQuestion
+from .core import MultiQuestionEngine, OrderedQuestion, PerformanceQuestion
 from .trace import open_trace
 from .trace.retro import batch_event_plan, parse_pattern
 
@@ -61,10 +64,6 @@ __all__ = [
     "run_server",
     "run_client",
 ]
-
-#: transitions replayed between cooperative yields / stream flushes
-REPLAY_CHUNK = 512
-
 
 @dataclass(frozen=True)
 class QuestionSpec:
@@ -163,23 +162,10 @@ class TraceSource:
         return list(self.reader.sentences)
 
     async def run_batch(self, engine, questions, flush) -> float:
-        events, node_filtered, end = batch_event_plan(
-            self.reader, questions, None, self.node
-        )
-        last = 0.0
-        pending = 0
-        for event in events:
-            if not node_filtered and self.node is not None and event.node_id != self.node:
-                continue
-            last = event.time
-            engine.transition(
-                event.sentence, event.kind is EventKind.ACTIVATE, event.time
-            )
-            pending += 1
-            if pending >= REPLAY_CHUNK:
-                pending = 0
-                await flush()  # stream closed intervals; let clients drain
-        return end if end is not None else last
+        plan = batch_event_plan(self.reader, questions, None, self.node)
+        for _ in plan.replay(engine):
+            await flush()  # stream closed intervals; let clients drain
+        return plan.end_time
 
     def close(self) -> None:
         close = getattr(self.reader, "close", None)
@@ -236,7 +222,6 @@ class ServeServer:
         port: int = 0,
         subscribers: int = 1,
         once: bool = False,
-        shards: int = 1,
         port_file: str | None = None,
         reject_dead: bool = False,
     ):
@@ -247,7 +232,6 @@ class ServeServer:
         self.port = port
         self.subscribers = subscribers
         self.once = once
-        self.shards = shards
         self.port_file = port_file
         self.reject_dead = reject_dead
         self.batches_served = 0
@@ -341,19 +325,13 @@ class ServeServer:
                 name = spec.display_name()
                 key = _question_key(spec)
                 if by_name.setdefault(name, key) != key:
-                    message = (
+                    await self._fail_batch(
+                        batch,
                         f'question name "{name}" maps to two different '
-                        "questions in this batch"
+                        "questions in this batch",
                     )
-                    for c in batch:
-                        c.send({"event": "error", "message": message})
-                        try:
-                            await c.writer.drain()
-                        except ConnectionError:
-                            pass
-                        c.writer.close()
                     return
-        engine = MultiQuestionEngine(shards=self.shards)
+        engine = MultiQuestionEngine()
         registered: set[tuple[int, str]] = set()
         for client in batch:
             for spec in client.specs:
@@ -381,9 +359,20 @@ class ServeServer:
                     pass
             await asyncio.sleep(0)
 
-        end = await self.source.run_batch(
-            engine, [build_question(s) for c in batch for s in c.specs], flush
-        )
+        try:
+            end = await self.source.run_batch(
+                engine, [build_question(s) for c in batch for s in c.specs], flush
+            )
+        except Exception as exc:
+            # the source failed mid-batch (e.g. a corrupt trace segment):
+            # every client of the batch learns why, and the service goes on
+            # to the next batch -- unless it was asked to serve only this one
+            message = f"source failed: {type(exc).__name__}: {exc}"
+            await self._fail_batch(batch, message)
+            if self.once:
+                raise
+            print(f"repro serve: {message}", file=sys.stderr)
+            return
         answers = engine.answers(end)
         intervals = engine.intervals(end)
         for client in batch:
@@ -423,6 +412,17 @@ class ServeServer:
             client.writer.close()
         self.batches_served += 1
 
+    @staticmethod
+    async def _fail_batch(batch: list[_Client], message: str) -> None:
+        """Send every client of ``batch`` an ``error`` event and close it."""
+        for client in batch:
+            client.send({"event": "error", "message": message})
+            try:
+                await client.writer.drain()
+            except ConnectionError:
+                pass
+            client.writer.close()
+
     async def serve(self) -> None:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         actual_port = self._server.sockets[0].getsockname()[1]
@@ -454,7 +454,6 @@ def run_server(
     port: int = 0,
     subscribers: int = 1,
     once: bool = False,
-    shards: int = 1,
     port_file: str | None = None,
     reject_dead: bool = False,
 ) -> int:
@@ -465,7 +464,6 @@ def run_server(
         port=port,
         subscribers=subscribers,
         once=once,
-        shards=shards,
         port_file=port_file,
         reject_dead=reject_dead,
     )
@@ -496,7 +494,7 @@ async def _client_session(
         msg = json.loads(line)
         event = msg.get("event")
         if event == "error":
-            raise ValueError(f"server rejected subscription: {msg.get('message')}")
+            raise ValueError(f"server sent an error: {msg.get('message')}")
         if event == "interval":
             q = msg["question"]
             streamed[q] = streamed.get(q, 0.0) + (msg["end"] - msg["start"])

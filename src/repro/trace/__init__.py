@@ -26,7 +26,7 @@ from .retro import (
     TraceDiff,
     WindowedMapping,
     diff_traces,
-    evaluate_questions,
+    evaluate_question_batch,
     parse_pattern,
     question_name,
     sentence_intervals,
@@ -57,7 +57,7 @@ __all__ = [
     "TraceDiff",
     "WindowedMapping",
     "diff_traces",
-    "evaluate_questions",
+    "evaluate_question_batch",
     "filtered_intervals",
     "matching_sids",
     "open_trace",

@@ -5,11 +5,12 @@ answers them *after* the run, from a recorded history (a
 :class:`~repro.trace.columnar.ColumnarTraceReader`, an in-memory
 :class:`~repro.core.events.Trace`, or any event iterable):
 
-* :func:`evaluate_questions` replays the recorded transitions through a real
-  SAS engine whose clock returns each event's recorded time, so every
-  Figure-6 question's satisfied-time comes out *identical* to what a live
-  :class:`~repro.core.sas.QuestionWatcher` accumulated on the same run --
-  equality by construction, not approximation (asserted in abl9);
+* :func:`evaluate_question_batch` replays the recorded transitions once
+  through a :class:`~repro.core.multiq.MultiQuestionEngine` at each event's
+  recorded time, so every Figure-6 question's satisfied-time comes out
+  *identical* to what a live :class:`~repro.core.sas.QuestionWatcher`
+  accumulated on the same run -- equality by construction, not
+  approximation (asserted in abl9);
 * :func:`windowed_mappings` and :func:`windowed_attribution` extend the
   paper's co-activity rule with a configurable **lag window**: sentence B
   maps to sentence A if B becomes active within ``window`` seconds of A's
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..core import (
     EventKind,
@@ -36,9 +37,9 @@ from ..core import (
     Sentence,
     SentenceEvent,
     SentencePattern,
-    make_sas,
 )
-from .scan import filtered_intervals, parallel_intervals, question_sids
+from ..core.multiq import question_name
+from .scan import _iter_source_events, filtered_intervals, parallel_intervals, question_sids
 from .store import ALL_NODES
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "TraceDiff",
     "parse_pattern",
     "question_name",
-    "evaluate_questions",
     "evaluate_question_batch",
     "sentence_intervals",
     "windowed_mappings",
@@ -94,19 +94,6 @@ def parse_pattern(text: str) -> SentencePattern:
     return SentencePattern(tokens[-1], tuple(tokens[:-1]), level)
 
 
-def question_name(question: PerformanceQuestion | QExpr | OrderedQuestion) -> str:
-    """The stable key a question's retro answer is reported under."""
-    return getattr(question, "name", None) or str(question)
-
-
-def _iter_events(source) -> Iterable[SentenceEvent]:
-    """Accept a trace reader, Trace, or any SentenceEvent iterable."""
-    events = getattr(source, "events", None)
-    if callable(events):
-        return events()
-    return source
-
-
 @dataclass
 class RetroAnswer:
     """Post-mortem answer to one performance question."""
@@ -118,72 +105,41 @@ class RetroAnswer:
     end_time: float
 
 
-def evaluate_questions(
-    source,
-    questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
-    end_time: float | None = None,
-    node: int | None = None,
-    engine: str = "indexed",
-) -> dict[str, RetroAnswer]:
-    """Evaluate questions over recorded history, as if they had been live.
+#: transitions replayed between the yields of :meth:`ReplayPlan.replay`
+#: (where ``repro serve`` flushes its streams and lets clients drain)
+REPLAY_CHUNK = 512
 
-    The recorded transitions are replayed through a real SAS engine whose
-    clock hands back each event's recorded time, so watcher satisfied-times
-    accumulate exactly as they would have during the run.  ``node`` filters
-    to one recording node's events (a multi-node file replayed whole feeds
-    every node's transitions into one SAS, which is only meaningful if that
-    is also how the live run was wired).  Open satisfied intervals are
-    closed at ``end_time`` (default: the last replayed event's time).
+
+class ReplayPlan:
+    """The transitions one question batch replays, and its end time.
+
+    Iterating :meth:`replay` feeds the planned (already node-filtered)
+    transitions into an engine; :attr:`end_time` is then the time open
+    satisfied intervals close at: the caller's ``end_time``, else the
+    reader's last transition time on the pushdown path, else the last
+    replayed event's time.
     """
-    current = {"t": 0.0}
-    sas = make_sas(engine, clock=lambda: current["t"])
-    watchers = [(question_name(q), sas.attach_question(q)) for q in questions]
-    # pushdown fast path: replay only the sentences the questions' patterns
-    # can observe (watcher satisfaction cannot depend on any other
-    # sentence).  When the caller leaves ``end_time`` defaulted, the
-    # default is the last *replayed* event's time, which a filtered replay
-    # would change -- so it comes from the reader's transitions-only bound
-    # instead.  With a node filter and no ``end_time`` that bound is the
-    # wrong one (it covers every node), so that case keeps the plain
-    # replay.
-    events_iter = None
-    end = end_time
-    if hasattr(source, "scan_transitions") and (
-        end_time is not None or node is None
-    ):
-        sids = question_sids(source.sentences, questions)
-        if sids is not None:
-            if end is None:
-                last_t = source.last_transition_time()
-                end = last_t if last_t is not None else 0.0
-            events_iter = source.scan_transitions(
-                sids=sids, node=ALL_NODES if node is None else node
-            )
-            node_done = True
-    last = 0.0
-    if events_iter is None:
-        events_iter = _iter_events(source)
-        node_done = False
-    for event in events_iter:
-        if not node_done and node is not None and event.node_id != node:
-            continue
-        current["t"] = last = event.time
-        if event.kind is EventKind.ACTIVATE:
-            sas.activate(event.sentence)
-        else:
-            sas.deactivate(event.sentence)
-    if end is None:
-        end = last
-    return {
-        name: RetroAnswer(
-            name=name,
-            satisfied_time=w.total_satisfied_time(end),
-            transitions=w.transitions,
-            satisfied_at_end=w.satisfied,
-            end_time=end,
-        )
-        for name, w in watchers
-    }
+
+    def __init__(self, events: Iterable[SentenceEvent], end_time: float | None):
+        self._events = events
+        self._end = end_time
+        self._last = 0.0
+
+    def replay(self, engine: MultiQuestionEngine) -> Iterator[None]:
+        """Feed every planned transition into ``engine``, yielding after
+        each :data:`REPLAY_CHUNK` of them."""
+        pending = 0
+        for event in self._events:
+            self._last = event.time
+            engine.transition(event.sentence, event.kind is EventKind.ACTIVATE, event.time)
+            pending += 1
+            if pending == REPLAY_CHUNK:
+                pending = 0
+                yield
+
+    @property
+    def end_time(self) -> float:
+        return self._end if self._end is not None else self._last
 
 
 def batch_event_plan(
@@ -191,34 +147,37 @@ def batch_event_plan(
     questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
     end_time: float | None = None,
     node: int | None = None,
-):
-    """Pick the replay source for a whole question batch at once.
+) -> ReplayPlan:
+    """Plan the replay of a whole question batch over ``source``.
 
-    Mirrors :func:`evaluate_questions`' pushdown branch structure exactly
-    (same fast-path conditions, same end-time defaulting), but computes one
-    union sentence-id set for *all* questions, so a columnar reader answers
-    the entire batch in a single zone-map-pruned pass instead of one scan
-    per question.  Returns ``(events, node_filtered, end)`` where ``events``
-    is the transition iterable, ``node_filtered`` says the source already
-    applied the ``node`` filter, and ``end`` is the resolved end time
-    (``None`` means "last replayed event's time", resolved by the caller).
+    Pushdown fast path: on a trace reader, replay only the sentences the
+    questions' patterns can observe (satisfaction cannot depend on any
+    other sentence), as one union sentence-id set for *all* questions, so
+    the entire batch is answered in a single zone-map-pruned pass.  When
+    ``end_time`` is left defaulted, the default is the last *replayed*
+    event's time, which a filtered replay would change -- so it comes from
+    the reader's transitions-only bound instead.  With a node filter and
+    no ``end_time`` that bound is the wrong one (it covers every node), so
+    that case keeps the plain replay, filtered to ``node``.
     """
-    end = end_time
     if hasattr(source, "scan_transitions") and (end_time is not None or node is None):
         # static reachability shrinks the union scan set: a table-dead
         # conjunction can never flip, so its patterns' events need not
         # be replayed at all (answers stay byte-identical; pinned by
         # tests/trace/test_retro_batch.py)
-        sids = question_sids(source.sentences, questions, prune_dead=True)
+        sids = question_sids(source.sentences, questions)
         if sids is not None:
-            if end is None:
+            if end_time is None:
                 last_t = source.last_transition_time()
-                end = last_t if last_t is not None else 0.0
+                end_time = last_t if last_t is not None else 0.0
             events = source.scan_transitions(
                 sids=sids, node=ALL_NODES if node is None else node
             )
-            return events, True, end
-    return _iter_events(source), False, end
+            return ReplayPlan(events, end_time)
+    events = _iter_source_events(source)
+    if node is not None:
+        events = (event for event in events if event.node_id == node)
+    return ReplayPlan(events, end_time)
 
 
 def evaluate_question_batch(
@@ -226,36 +185,29 @@ def evaluate_question_batch(
     questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
     end_time: float | None = None,
     node: int | None = None,
-    shards: int = 1,
-    engine: MultiQuestionEngine | None = None,
 ) -> dict[str, RetroAnswer]:
-    """Answer a whole question batch in one pass over recorded history.
+    """Evaluate questions over recorded history, as if they had been live.
 
-    The batched counterpart of :func:`evaluate_questions`: instead of one
-    dedicated watcher per question re-observing every transition, all
-    questions compile into one shared
-    :class:`~repro.core.multiq.MultiQuestionEngine` plan (interned patterns,
-    subsumption-pruned matching, per-question dirty bits), and the recorded
-    transitions are fed through it once.  Answers are byte-identical to
-    :func:`evaluate_questions` on the same inputs -- same pushdown
-    conditions, same end-time defaults, same float accumulation order --
-    which abl11 and the property suite assert.
-
-    Pass ``shards`` to partition pattern nodes across consistent-hash
-    shards, or a pre-built ``engine`` to reuse one (e.g. the ``repro
-    serve`` session engine with subscriptions already attached).
+    ``source`` is a trace reader, an in-memory
+    :class:`~repro.core.events.Trace` or any event iterable.  All questions
+    compile into one shared :class:`~repro.core.multiq.MultiQuestionEngine`
+    plan (interned patterns, subsumption-pruned matching, per-question
+    dirty bits), and the recorded transitions (see
+    :func:`batch_event_plan`) are fed through it once, at their recorded
+    times, so every answer is byte-identical to what a dedicated live
+    :class:`~repro.core.sas.QuestionWatcher` accumulated on the same
+    stream.  ``node`` restricts the replay to one recording node's events
+    (a multi-node file replayed whole feeds every node's transitions into
+    one engine, which is only meaningful if that is also how the live run
+    was wired).  Open satisfied intervals close at ``end_time`` (default:
+    the last replayed transition's time).
     """
-    eng = engine if engine is not None else MultiQuestionEngine(shards=shards)
-    subs = [(question_name(q), eng.subscribe(q)) for q in questions]
-    events, node_filtered, end = batch_event_plan(source, questions, end_time, node)
-    last = 0.0
-    for event in events:
-        if not node_filtered and node is not None and event.node_id != node:
-            continue
-        last = event.time
-        eng.transition(event.sentence, event.kind is EventKind.ACTIVATE, event.time)
-    if end is None:
-        end = last
+    engine = MultiQuestionEngine()
+    subs = [(question_name(q), engine.subscribe(q)) for q in questions]
+    plan = batch_event_plan(source, questions, end_time, node)
+    for _ in plan.replay(engine):
+        pass
+    end = plan.end_time
     return {
         name: RetroAnswer(
             name=name,

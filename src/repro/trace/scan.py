@@ -71,9 +71,7 @@ def matching_sids(
     )
 
 
-def question_sids(
-    sentences: Sequence[Sentence], questions, prune_dead: bool = False
-) -> frozenset[int] | None:
+def question_sids(sentences: Sequence[Sentence], questions) -> frozenset[int] | None:
     """The sentence-id set any of ``questions`` could ever observe.
 
     Watcher satisfaction only changes when a sentence matching one of the
@@ -81,14 +79,13 @@ def question_sids(
     only *test* pattern matches), so replaying just these ids yields
     identical satisfied-times.
 
-    ``prune_dead`` additionally drops every pattern of a *table-dead*
-    conjunction -- a plain conjunctive or ordered question one of whose
-    components matches no sentence in the table.  Such a question's
-    satisfaction state can never flip (both watcher kinds count only
-    state flips, and a conjunction with one never-active component stays
-    unsatisfied forever), so its other components' events are replayed
-    for nothing.  Boolean-expression questions (OR/NOT) are never pruned.
-    Answers stay byte-identical either way.
+    Every pattern of a *table-dead* conjunction -- a plain conjunctive or
+    ordered question one of whose components matches no sentence in the
+    table -- is left out: such a question's satisfaction state can never
+    flip (both watcher kinds count only state flips, and a conjunction
+    with one never-active component stays unsatisfied forever), so its
+    other components' events would be replayed for nothing.
+    Boolean-expression questions (OR/NOT) are never pruned.
 
     Returns ``None`` -- no pushdown -- when a
     question does not expose ``patterns()``.
@@ -98,16 +95,11 @@ def question_sids(
         get = getattr(q, "patterns", None)
         if not callable(get):
             return None
-        q_patterns = list(get())
-        if (
-            prune_dead
-            and isinstance(q, (OrderedQuestion, PerformanceQuestion))
-            and any(
-                not any(p.matches(s) for s in sentences) for p in q.components
-            )
+        if isinstance(q, (OrderedQuestion, PerformanceQuestion)) and any(
+            not any(p.matches(s) for s in sentences) for p in q.components
         ):
             continue
-        patterns.extend(q_patterns)
+        patterns.extend(get())
     return matching_sids(sentences, patterns)
 
 

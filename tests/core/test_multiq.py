@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     ActiveSentenceSet,
-    HashRing,
     MultiQuestionEngine,
     Noun,
     OrderedQuestion,
@@ -128,7 +127,7 @@ def test_lattice_prunes_matching(monkeypatch):
         return orig(self, sent)
 
     monkeypatch.setattr(SentencePattern, "matches", counting)
-    # noun A routes the sentence into the nodes' shard, but the broad root
+    # noun A is one of the nodes' discriminator keys, but the broad root
     # {Sum} fails on the verb, so neither child is ever tested
     a_exec = sentence(EXEC, Noun("A", "HPF"))
     eng.transition(a_exec, True, 1.0)
@@ -136,8 +135,8 @@ def test_lattice_prunes_matching(monkeypatch):
     calls.clear()
     eng.transition(a_exec, False, 2.0)  # memoized: no pattern tests at all
     assert len(calls) == 0
-    # a sentence carrying none of the shard's discriminators skips the
-    # shard without a single pattern test (candidate-key routing)
+    # a sentence carrying none of the nodes' discriminators skips the
+    # lattice without a single pattern test (candidate-key routing)
     eng.transition(P_SEND, True, 3.0)
     assert len(calls) == 0
 
@@ -279,59 +278,3 @@ def test_interval_callbacks_fire_on_close():
     eng.transition(A_SUM, True, 1.0)
     eng.transition(A_SUM, False, 4.0)
     assert seen == [(1.0, 4.0)]
-
-
-# ----------------------------------------------------------------------
-# sharding
-# ----------------------------------------------------------------------
-def test_hash_ring_stable_and_total():
-    ring = HashRing(4)
-    keys = [("n", f"N{i}") for i in range(64)]
-    owners = [ring.shard_for(k) for k in keys]
-    assert owners == [HashRing(4).shard_for(k) for k in keys]  # deterministic
-    assert set(owners) <= {0, 1, 2, 3}
-    assert len(set(owners)) > 1  # spreads across shards
-
-
-def test_hash_ring_minimal_movement():
-    keys = [("n", f"N{i}") for i in range(200)]
-    before = [HashRing(4).shard_for(k) for k in keys]
-    after = [HashRing(5).shard_for(k) for k in keys]
-    moved = sum(1 for b, a in zip(before, after, strict=True) if b != a)
-    # consistent hashing: growing 4 -> 5 shards moves ~1/5 of keys, not most
-    assert moved < len(keys) // 2
-
-
-def test_sharded_engine_same_answers():
-    questions = [
-        PerformanceQuestion(f"q{i}", (SentencePattern("Sum", (n,)),
-                                      SentencePattern("Executes", ())))
-        for i, n in enumerate(("A", "B"))
-    ]
-    script = [
-        (1.0, A_SUM, True), (2.0, LINE, True), (3.0, B_SUM, True),
-        (4.0, A_SUM, False), (5.0, LINE, False), (6.0, B_SUM, False),
-    ]
-    results = []
-    for shards in (1, 2, 5):
-        eng = MultiQuestionEngine(shards=shards)
-        for q in questions:
-            eng.subscribe(q)
-        for t, sent, up in script:
-            eng.transition(sent, up, t)
-        results.append(eng.answers(7.0))
-        assert len(eng.shards) == shards
-    assert results[0] == results[1] == results[2]
-
-
-def test_unrouted_shards_untouched():
-    eng = MultiQuestionEngine(shards=8)
-    eng.subscribe(QAtom(SentencePattern("Sum", ("A",))), name="a")
-    eng.subscribe(QAtom(SentencePattern("Send", ("Processor_0",))), name="b")
-    eng.transition(A_SUM, True, 1.0)
-    eng.transition(A_SUM, False, 2.0)
-    summary = eng.shard_summary()
-    touched = [k for k, n in enumerate(summary["touches_per_shard"]) if n]
-    populated = [k for k, n in enumerate(summary["nodes_per_shard"]) if n]
-    assert len(touched) == 1  # only {A Sum}'s shard saw the transition
-    assert set(touched) <= set(populated)

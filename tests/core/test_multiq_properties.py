@@ -7,7 +7,7 @@ and accumulated satisfied-time from the shared
 :class:`~repro.core.multiq.MultiQuestionEngine` must equal a naive oracle
 that re-evaluates ``QExpr.evaluate`` / ``satisfied`` over the full active
 set after every membership change -- the engine's dirty bits, lattice
-pruning, memoized matching, sharding, and subscription dedup must all be
+pruning, memoized matching, and subscription dedup must all be
 pure optimizations.
 """
 
@@ -133,10 +133,10 @@ def with_duplicates(batch):
     return out
 
 
-@given(st.lists(questions, min_size=1, max_size=5), scripts, st.sampled_from([1, 3]))
+@given(st.lists(questions, min_size=1, max_size=5), scripts)
 @settings(max_examples=150, deadline=None)
-def test_engine_equals_naive_oracle(batch, script, shards):
-    engine = MultiQuestionEngine(shards=shards)
+def test_engine_equals_naive_oracle(batch, script):
+    engine = MultiQuestionEngine()
     subs = [engine.subscribe(q, name=f"q{i}") for i, q in enumerate(with_duplicates(batch))]
 
     oracle = [NaiveWatcher() for _ in subs]
@@ -181,15 +181,14 @@ def test_engine_equals_naive_oracle(batch, script, shards):
     st.lists(questions, min_size=1, max_size=3),
     scripts,
     st.integers(0, 40),
-    st.sampled_from([1, 3]),
 )
 @settings(max_examples=100, deadline=None)
-def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split, shards):
+def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split):
     """Questions subscribed mid-run -- reusing nodes the warmup batch
     created (including boolean-only nodes an ordered question attaches to)
     -- must match an oracle that starts accumulating at subscription time."""
     split = min(split, len(script))
-    engine = MultiQuestionEngine(shards=shards)
+    engine = MultiQuestionEngine()
     for i, q in enumerate(with_duplicates(warmup)):
         engine.subscribe(q, name=f"w{i}")
 

@@ -23,9 +23,9 @@ from repro.core import (
     Verb,
     Vocabulary,
     assign_costs,
-    make_sas,
     sentence,
 )
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 # ----------------------------------------------------------------------
 # cost vectors
@@ -198,8 +198,8 @@ question_strategy = st.one_of(
 @given(ops_strategy)
 def test_sas_multiset_roundtrip_unwinds_to_empty(ops):
     """Balanced ops + a full unwind leave either engine exactly empty."""
-    for engine in ("indexed", "naive"):
-        sas = make_sas(engine, vocabulary=Vocabulary())
+    for engine in (ActiveSentenceSet, NaiveActiveSentenceSet):
+        sas = engine(vocabulary=Vocabulary())
         depth = [0] * len(SENTS)
         for idx, is_activate in ops:
             if is_activate:

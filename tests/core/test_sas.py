@@ -7,7 +7,6 @@ from repro.core import (
     AbstractionLevel,
     ActiveSentenceSet,
     DynamicMappingRecorder,
-    NaiveActiveSentenceSet,
     Noun,
     PerformanceQuestion,
     QAtom,
@@ -18,6 +17,7 @@ from repro.core import (
     interest_from_questions,
     sentence,
 )
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 HPF = Verb("Executes", "HPF")
 SUM = Verb("Sum", "HPF")

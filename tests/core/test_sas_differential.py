@@ -26,15 +26,14 @@ from repro.core import (
     ActiveSentenceSet,
     DynamicMappingRecorder,
     EventKind,
-    NaiveActiveSentenceSet,
     PerformanceQuestion,
     SentencePattern,
     Trace,
     Vocabulary,
     interest_from_questions,
-    make_sas,
 )
 from repro.workloads import sas_event_trace, sas_questions, sas_sentence_pool
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 
 def _replay_observed(sas_factory, pool_seed, trace_seed, *, events, question_count,
@@ -146,8 +145,8 @@ def test_trace_replay_into_drives_both_engines():
         else:
             live.deactivate(sent)
 
-    for engine in ("indexed", "naive"):
-        replayed = make_sas(engine)
+    for engine in (ActiveSentenceSet, NaiveActiveSentenceSet):
+        replayed = engine()
         replayed_watchers = [replayed.attach_question(q) for q in questions]
         recorded.replay_into(replayed)
         assert replayed.active_sentences() == live.active_sentences()
@@ -155,13 +154,6 @@ def test_trace_replay_into_drives_both_engines():
             assert rw.satisfied == lw.satisfied
             assert rw.transitions == lw.transitions
             assert rw.satisfied_time == pytest.approx(lw.satisfied_time)
-
-
-def test_make_sas_selects_engines():
-    assert type(make_sas()) is ActiveSentenceSet
-    assert type(make_sas("naive")) is NaiveActiveSentenceSet
-    with pytest.raises(ValueError):
-        make_sas("quantum")
 
 
 def test_detach_question_unregisters_from_index():

@@ -211,7 +211,7 @@ def test_multiq_engine_sees_fused_server_stream():
     from repro.core import MultiQuestionEngine, PerformanceQuestion, SentencePattern
 
     queries = [Query("Q_orders", disk_reads=3), Query("Q_report", disk_reads=2)]
-    engine = MultiQuestionEngine(shards=2)
+    engine = MultiQuestionEngine()
     for q in queries:
         engine.subscribe(
             PerformanceQuestion(

@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,8 +18,8 @@ from repro.serve import (
     parse_subscribe,
     _client_session,
 )
-from repro.trace import open_trace
-from repro.trace.retro import evaluate_questions
+from repro.trace import CodecError, open_trace
+from tests.trace.sas_replay import sas_replay
 
 
 @pytest.fixture
@@ -88,10 +90,8 @@ def test_build_question_matches_trace_query_naming():
 # ----------------------------------------------------------------------
 # in-process server round trip
 # ----------------------------------------------------------------------
-async def _serve_batch(source, specs_per_client, shards=1):
-    server = ServeServer(
-        source, subscribers=len(specs_per_client), once=True, shards=shards
-    )
+async def _serve_batch(source, specs_per_client):
+    server = ServeServer(source, subscribers=len(specs_per_client), once=True)
     task = asyncio.create_task(server.serve())
     while server.port == 0 and not task.done():
         await asyncio.sleep(0.01)
@@ -111,13 +111,13 @@ def test_two_overlapping_subscribers_match_retro_oracle(db_trace):
     q_a = QuestionSpec(patterns=("{Q0 QueryActive}", "{server0 DiskRead}"))
     q_ord = QuestionSpec(patterns=("{Q1 QueryActive}", "{server0 DiskRead}"), ordered=True)
     (pay_a, div_a), (pay_b, div_b) = asyncio.run(
-        _serve_batch(TraceSource(db_trace), [[q_a, q_shared], [q_shared, q_ord]], shards=3)
+        _serve_batch(TraceSource(db_trace), [[q_a, q_shared], [q_shared, q_ord]])
     )
     assert div_a == 0 and div_b == 0  # streamed intervals sum to summary
     reader = open_trace(db_trace)
     for payload, specs in ((pay_a, [q_a, q_shared]), (pay_b, [q_shared, q_ord])):
         for spec in specs:
-            expected = evaluate_questions(reader, [build_question(spec)])
+            expected = sas_replay(reader, [build_question(spec)])
             ans = payload["questions"][spec.display_name()]
             ref = expected[spec.display_name()]
             assert ans["satisfied_time"] == ref.satisfied_time
@@ -388,3 +388,105 @@ def test_engine_dead_subscriptions_names():
     )
     table = [Sentence(Verb("Works", "Base"), (Noun("blk", "Base"),))]
     assert engine.dead_subscriptions(table) == ["dead"]
+
+
+# ----------------------------------------------------------------------
+# source failures: an error event per client, and the service goes on
+# ----------------------------------------------------------------------
+@contextmanager
+def watchdog(seconds: int = 60):
+    """Fail the test if the body hangs instead of reaching an outcome."""
+    if not hasattr(signal, "SIGALRM"):  # pragma: no cover - non-POSIX
+        yield
+        return
+
+    def _trip(signum, frame):
+        raise TimeoutError(f"serve hung for {seconds}s instead of failing loudly")
+
+    previous = signal.signal(signal.SIGALRM, _trip)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+async def _started(server):
+    task = asyncio.create_task(server.serve())
+    while server.port == 0 and not task.done():
+        await asyncio.sleep(0.01)
+    return task
+
+
+def test_corrupt_segment_sends_error_event_and_once_exits(db_trace, tmp_path):
+    # flipped bytes mid-segment: the footer still opens, the scan fails
+    with open_trace(db_trace) as reader:
+        seg = reader.segments[0]
+    data = bytearray(open(db_trace, "rb").read())
+    mid = seg.offset + seg.nbytes // 2
+    data[mid:mid + 8] = bytes(b ^ 0xFF for b in data[mid:mid + 8])
+    bad = tmp_path / "bad.rtrcx"
+    bad.write_bytes(data)
+
+    async def scenario():
+        server = ServeServer(TraceSource(str(bad)), subscribers=1, once=True)
+        task = await _started(server)
+        request = {"questions": [{"patterns": ["{? QueryActive}@Database"]}]}
+        msgs = await _subscribe_raw(server.port, request)
+        with pytest.raises(CodecError):  # --once still exits 2 on it
+            await asyncio.wait_for(task, timeout=10)
+        return msgs
+
+    with watchdog():
+        msgs = asyncio.run(scenario())
+    assert [m["event"] for m in msgs] == ["subscribed", "error"]
+    assert "CodecError" in msgs[-1]["message"]
+
+
+class FlakySource(TraceSource):
+    """Raises on its first batch, then replays normally."""
+
+    batches = 0
+
+    async def run_batch(self, engine, questions, flush):
+        self.batches += 1
+        if self.batches == 1:
+            raise RuntimeError("disk went away")
+        return await super().run_batch(engine, questions, flush)
+
+
+def test_source_failure_fails_one_batch_and_keeps_serving(db_trace, capsys):
+    spec = QuestionSpec(patterns=("{Q0 QueryActive}", "{server0 DiskRead}"))
+    request = {"questions": [{"patterns": list(spec.patterns)}]}
+
+    async def scenario():
+        server = ServeServer(FlakySource(db_trace), subscribers=2)
+        task = await _started(server)
+        failed = await asyncio.gather(
+            _subscribe_raw(server.port, request), _subscribe_raw(server.port, request)
+        )
+        served = await asyncio.gather(
+            _client_session("127.0.0.1", server.port, [spec], stream=True),
+            _client_session("127.0.0.1", server.port, [spec], stream=True),
+        )
+        assert not task.done()  # no --once: still serving
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        return failed, served, server.batches_served
+
+    with watchdog():
+        failed, served, batches = asyncio.run(scenario())
+    for msgs in failed:  # every client of the failed batch hears why
+        assert msgs[-1] == {
+            "event": "error",
+            "message": "source failed: RuntimeError: disk went away",
+        }
+    assert "disk went away" in capsys.readouterr().err
+    assert batches == 1
+    expected = sas_replay(open_trace(db_trace), [build_question(spec)])
+    for payload, divergence in served:
+        ans = payload["questions"][spec.display_name()]
+        assert divergence == 0
+        assert ans["satisfied_time"] == expected[spec.display_name()].satisfied_time

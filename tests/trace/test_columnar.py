@@ -9,7 +9,7 @@ from repro.trace import (
     CodecError,
     ColumnarTraceReader,
     ColumnarTraceWriter,
-    evaluate_questions,
+    evaluate_question_batch,
     filtered_intervals,
     matching_sids,
     open_trace,
@@ -217,8 +217,8 @@ class TestRetroOverColumnar:
         pat = SentencePattern(sent.verb.name, tuple(n.name for n in sent.nouns))
         qs = [PerformanceQuestion("q", (pat,))]
         for end in (None, 1.0):
-            a = evaluate_questions(trace, qs, end_time=end)
-            b = evaluate_questions(col, qs, end_time=end)
+            a = evaluate_question_batch(trace, qs, end_time=end)
+            b = evaluate_question_batch(col, qs, end_time=end)
             assert {k: vars(v) for k, v in a.items()} == {k: vars(v) for k, v in b.items()}
 
     def test_windowed_mappings_trace_vs_columnar(self, tmp_path):

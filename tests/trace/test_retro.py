@@ -17,7 +17,7 @@ from repro.trace import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
     diff_traces,
-    evaluate_questions,
+    evaluate_question_batch,
     parse_pattern,
     sentence_intervals,
     trace_stats,
@@ -102,7 +102,7 @@ class TestEvaluateQuestions:
         end = 8.0
         live = [(w.total_satisfied_time(end), w.transitions, w.satisfied) for w in watchers]
 
-        answers = evaluate_questions(make_trace(self.ROWS), self.questions(), end_time=end)
+        answers = evaluate_question_batch(make_trace(self.ROWS), self.questions(), end_time=end)
         retro = [
             (a.satisfied_time, a.transitions, a.satisfied_at_end)
             for a in (answers[q.name] for q in self.questions())
@@ -118,16 +118,16 @@ class TestEvaluateQuestions:
         trace.record(3.0, EventKind.DEACTIVATE, A_SUM, node_id=0)
         trace.record(6.0, EventKind.DEACTIVATE, A_SUM, node_id=1)
         q = [PerformanceQuestion("q", (SentencePattern("Sum", ("A",)),))]
-        assert evaluate_questions(trace, q, node=0)["q"].satisfied_time == 2.0
-        assert evaluate_questions(trace, q, node=1)["q"].satisfied_time == 4.0
-        assert evaluate_questions(trace, q)["q"].satisfied_time == 5.0
+        assert evaluate_question_batch(trace, q, node=0)["q"].satisfied_time == 2.0
+        assert evaluate_question_batch(trace, q, node=1)["q"].satisfied_time == 4.0
+        assert evaluate_question_batch(trace, q)["q"].satisfied_time == 5.0
 
     def test_works_from_a_trace_reader(self, tmp_path):
         path = tmp_path / "t.rtrcx"
         with ColumnarTraceWriter(path) as w:
             w.record_trace(make_trace(self.ROWS))
-        a = evaluate_questions(ColumnarTraceReader(path), self.questions(), end_time=8.0)
-        b = evaluate_questions(make_trace(self.ROWS), self.questions(), end_time=8.0)
+        a = evaluate_question_batch(ColumnarTraceReader(path), self.questions(), end_time=8.0)
+        b = evaluate_question_batch(make_trace(self.ROWS), self.questions(), end_time=8.0)
         assert {k: vars(v) for k, v in a.items()} == {k: vars(v) for k, v in b.items()}
 
 
