@@ -27,9 +27,15 @@ Two checks, two codes:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from ..core.questions import WILDCARD, OrderedQuestion, PerformanceQuestion, SentencePattern
+from ..core.questions import (
+    WILDCARD,
+    OrderedQuestion,
+    PerformanceQuestion,
+    SentencePattern,
+    table_dead_patterns,
+)
 from ..pif.records import PIFDocument
 from .diagnostics import Diagnostic, diag
 from .nv import _rec_index
@@ -96,25 +102,6 @@ def pattern_dead_reason(pattern: SentencePattern, vocab: DeclaredVocabulary) -> 
             )
         feasible = narrowed
     return None
-
-
-def table_dead_patterns(
-    question: PerformanceQuestion | OrderedQuestion, sentences: Sequence
-) -> list[SentencePattern]:
-    """Component patterns matching no sentence in a recorded table.
-
-    Sound for conjunctive and ordered questions only: any such component
-    makes the whole question unsatisfiable over that source (boolean
-    expressions with OR/NOT are never flagged).  An empty return means
-    the question *may* fire; a non-empty one proves it cannot.
-    """
-    if not isinstance(question, (PerformanceQuestion, OrderedQuestion)):
-        return []
-    return [
-        p
-        for p in question.components
-        if not any(p.matches(s) for s in sentences)
-    ]
 
 
 def question_implied_by(

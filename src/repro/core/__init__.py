@@ -27,12 +27,7 @@ from .cost import (
 )
 from .events import EventKind, SentenceEvent, Trace
 from .mapping import Mapping, MappingGraph, MappingOrigin, MappingType
-from .multiq import (
-    MultiQuestionEngine,
-    MultiWatcher,
-    PatternNode,
-    Subscription,
-)
+from .multiq import MultiQuestionEngine, PatternNode, QuestionWatcher
 from .nouns import BASE_LEVEL, AbstractionLevel, Noun, Sentence, Verb, Vocabulary, sentence
 from .questions import (
     WILDCARD,
@@ -48,7 +43,6 @@ from .questions import (
 from .sas import (
     ActiveSentenceSet,
     DynamicMappingRecorder,
-    QuestionWatcher,
     interest_from_questions,
 )
 
@@ -74,9 +68,7 @@ __all__ = [
     "MEMORY",
     "MergePolicy",
     "MultiQuestionEngine",
-    "MultiWatcher",
     "PatternNode",
-    "Subscription",
     "Noun",
     "OrderedQuestion",
     "PerformanceQuestion",

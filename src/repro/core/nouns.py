@@ -92,7 +92,7 @@ class Verb:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """A verb plus the participating nouns: one unit of program activity.
 
@@ -103,23 +103,22 @@ class Sentence:
     A sentence's level of abstraction is its verb's level.
 
     Sentences sit on the SAS notification hot path, so their hash is computed
-    once and cached, and equality short-circuits on identity -- interned
-    sentences (see :meth:`Vocabulary.intern`) compare in O(1).
+    once, at construction, and stored in a slot, and equality short-circuits
+    on identity -- interned sentences (see :meth:`Vocabulary.intern`) compare
+    in O(1).
     """
 
     verb: Verb
     nouns: tuple[Noun, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.nouns, tuple):
             object.__setattr__(self, "nouns", tuple(self.nouns))
+        object.__setattr__(self, "_hash", hash((self.verb, self.nouns)))
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.verb, self.nouns))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -127,6 +126,10 @@ class Sentence:
         if not isinstance(other, Sentence):
             return NotImplemented
         return self.verb == other.verb and self.nouns == other.nouns
+
+    def __reduce__(self):
+        # rebuilt from its fields: string hashes differ between processes
+        return (Sentence, (self.verb, self.nouns))
 
     @property
     def abstraction(self) -> str:
@@ -221,9 +224,8 @@ class Vocabulary:
 
         Structurally-equal sentences intern to the *same object*
         (``intern(a) is intern(b)`` whenever ``a == b``), so SAS engines fed
-        interned sentences resolve membership by identity and never re-hash:
-        the cached :meth:`Sentence.__hash__` is computed once per canonical
-        instance, and ``__eq__`` short-circuits on ``is``.
+        interned sentences resolve membership by identity: ``__eq__``
+        short-circuits on ``is`` instead of comparing verbs and nouns.
         """
         cached = self._sentences.get(sent)
         if cached is None:

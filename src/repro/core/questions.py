@@ -37,6 +37,7 @@ __all__ = [
     "QNot",
     "PerformanceQuestion",
     "OrderedQuestion",
+    "table_dead_patterns",
 ]
 
 #: Matches any noun or verb in a pattern position.
@@ -56,8 +57,8 @@ class SentencePattern:
     * a wildcard noun requires the sentence to have at least one noun;
     * ``level``, if given, must equal the sentence's level of abstraction.
 
-    Patterns key the multi-question engine's node table and subsumption
-    lattice (:mod:`repro.core.multiq`), so like :class:`Sentence` their hash
+    Patterns key the question engine's pattern table
+    (:mod:`repro.core.multiq`), so like :class:`Sentence` their hash
     is computed once and cached, equality short-circuits on identity, and
     :meth:`intern` hands out one canonical instance per *match semantics*
     (noun order, duplicate nouns, and wildcards made redundant by a concrete
@@ -124,9 +125,9 @@ class SentencePattern:
         """True if this pattern's match set contains ``other``'s.
 
         Exact (not just conservative) for canonical forms: every sentence
-        ``other`` matches is also matched by ``self``.  The multi-question
-        engine uses this to build the pattern lattice -- a transition that
-        fails a subsuming pattern is pruned from all patterns it subsumes.
+        ``other`` matches is also matched by ``self``.  The NV020 check
+        (:mod:`repro.analyze.deadq`) uses it to find redundant components
+        and implied questions.
         """
         if self.level is not None and self.level != other.level:
             return False
@@ -386,3 +387,20 @@ class OrderedQuestion:
 
     def __str__(self) -> str:
         return " then ".join(str(p) for p in self.components)
+
+
+def table_dead_patterns(
+    question: PerformanceQuestion | OrderedQuestion | QExpr, sentences: Sequence[Sentence]
+) -> list[SentencePattern]:
+    """Component patterns matching no sentence in a recorded table.
+
+    Sound for conjunctive and ordered questions only: any such component
+    makes the whole question unsatisfiable over that source, so its
+    answer is ``(0.0, 0, False)`` before a single event is replayed
+    (boolean expressions with OR/NOT are never flagged).  An empty return
+    means the question *may* fire; a non-empty one proves it cannot.  This
+    is the dynamic form of the NV019 dead-question check.
+    """
+    if not isinstance(question, (PerformanceQuestion, OrderedQuestion)):
+        return []
+    return [p for p in question.components if not any(p.matches(s) for s in sentences)]

@@ -4,7 +4,7 @@ The ROADMAP's millions-of-users story: clients POST Figure-6 question
 vectors and subscribe to satisfied-interval streams over recorded or live
 runs.  All concurrent subscriptions compile into **one** shared
 :class:`~repro.core.multiq.MultiQuestionEngine` plan per batch (interned
-patterns, subsumption lattice, per-question dirty bits), so the recorded
+patterns, watched-component conjunctions, deduplicated watchers), so the recorded
 trace is replayed -- or the live dbsim run executed -- exactly once no
 matter how many subscribers are attached, and duplicate questions across
 clients collapse to one watcher.
@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import MultiQuestionEngine, OrderedQuestion, PerformanceQuestion
+from .core.questions import table_dead_patterns
 from .trace import open_trace
 from .trace.retro import batch_event_plan, parse_pattern
 
@@ -253,8 +254,6 @@ class ServeServer:
         sentences = self.source.known_sentences()
         if sentences is None:
             return {}
-        from .analyze.deadq import table_dead_patterns
-
         dead: dict[str, list[str]] = {}
         for spec in specs:
             missing = table_dead_patterns(build_question(spec), sentences)
@@ -336,7 +335,7 @@ class ServeServer:
         for client in batch:
             for spec in client.specs:
                 name = spec.display_name()
-                sub = engine.subscribe(build_question(spec), name=name)
+                watcher = engine.subscribe(build_question(spec), name=name)
                 if (id(client), name) in registered:
                     continue  # same client, same question twice: one stream
                 registered.add((id(client), name))
@@ -349,7 +348,7 @@ class ServeServer:
                              "start": start, "end": end}
                         )
 
-                    sub.watcher.on_interval.append(emit)
+                    watcher.on_interval.append(emit)
 
         async def flush() -> None:
             for client in batch:
@@ -383,7 +382,7 @@ class ServeServer:
                 for spec in client.specs:
                     name = spec.display_name()
                     ivs = intervals[name]
-                    w = engine.subscription(name).watcher
+                    w = engine.subscription(name)
                     if w.satisfied and ivs:
                         start, stop = ivs[-1]
                         client.send(

@@ -8,8 +8,8 @@ answers them *after* the run, from a recorded history (a
 * :func:`evaluate_question_batch` replays the recorded transitions once
   through a :class:`~repro.core.multiq.MultiQuestionEngine` at each event's
   recorded time, so every Figure-6 question's satisfied-time comes out
-  *identical* to what a live :class:`~repro.core.sas.QuestionWatcher`
-  accumulated on the same run -- equality by construction, not
+  *identical* to what a live SAS's watcher (the same engine, fed by the
+  SAS) accumulated on the same run -- equality by construction, not
   approximation (asserted in abl9);
 * :func:`windowed_mappings` and :func:`windowed_attribution` extend the
   paper's co-activity rule with a configurable **lag window**: sentence B
@@ -191,19 +191,18 @@ def evaluate_question_batch(
     ``source`` is a trace reader, an in-memory
     :class:`~repro.core.events.Trace` or any event iterable.  All questions
     compile into one shared :class:`~repro.core.multiq.MultiQuestionEngine`
-    plan (interned patterns, subsumption-pruned matching, per-question
-    dirty bits), and the recorded transitions (see
-    :func:`batch_event_plan`) are fed through it once, at their recorded
-    times, so every answer is byte-identical to what a dedicated live
-    :class:`~repro.core.sas.QuestionWatcher` accumulated on the same
-    stream.  ``node`` restricts the replay to one recording node's events
+    (interned patterns, watched-component conjunctions, deduplicated
+    watchers), and the recorded transitions (see :func:`batch_event_plan`)
+    are fed through it once, at their recorded times, so every answer is
+    byte-identical to what a dedicated watcher on a live SAS accumulated
+    on the same stream.  ``node`` restricts the replay to one recording node's events
     (a multi-node file replayed whole feeds every node's transitions into
     one engine, which is only meaningful if that is also how the live run
     was wired).  Open satisfied intervals close at ``end_time`` (default:
     the last replayed transition's time).
     """
     engine = MultiQuestionEngine()
-    subs = [(question_name(q), engine.subscribe(q)) for q in questions]
+    watchers = [(question_name(q), engine.subscribe(q)) for q in questions]
     plan = batch_event_plan(source, questions, end_time, node)
     for _ in plan.replay(engine):
         pass
@@ -211,12 +210,12 @@ def evaluate_question_batch(
     return {
         name: RetroAnswer(
             name=name,
-            satisfied_time=sub.watcher.total_satisfied_time(end),
-            transitions=sub.watcher.transitions,
-            satisfied_at_end=sub.watcher.satisfied,
+            satisfied_time=w.total_satisfied_time(end),
+            transitions=w.transitions,
+            satisfied_at_end=w.satisfied,
             end_time=end,
         )
-        for name, sub in subs
+        for name, w in watchers
     }
 
 

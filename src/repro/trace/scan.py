@@ -30,14 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..core import (
-    EventKind,
-    OrderedQuestion,
-    PerformanceQuestion,
-    Sentence,
-    SentenceEvent,
-    SentencePattern,
-)
+from ..core import EventKind, Sentence, SentenceEvent, SentencePattern
+from ..core.questions import table_dead_patterns
 from .store import ALL_NODES
 
 __all__ = [
@@ -95,9 +89,7 @@ def question_sids(sentences: Sequence[Sentence], questions) -> frozenset[int] | 
         get = getattr(q, "patterns", None)
         if not callable(get):
             return None
-        if isinstance(q, (OrderedQuestion, PerformanceQuestion)) and any(
-            not any(p.matches(s) for s in sentences) for p in q.components
-        ):
+        if table_dead_patterns(q, sentences):
             continue
         patterns.extend(get())
     return matching_sids(sentences, patterns)

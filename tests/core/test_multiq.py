@@ -16,6 +16,7 @@ from repro.core import (
     Verb,
     sentence,
 )
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 SUM = Verb("Sum", "HPF")
 EXEC = Verb("Executes", "HPF")
@@ -42,6 +43,29 @@ def make_pair():
     eng = MultiQuestionEngine()
     eng.attach_sas(sas)
     return clock, sas, eng
+
+
+class Mirrored:
+    """A live SAS and the full-rescan oracle, notified in lockstep."""
+
+    def __init__(self, sas, clock):
+        self.sas = sas
+        self.clock = clock
+        self.oracle = NaiveActiveSentenceSet(clock=clock)
+
+    def notify(self, t, sent, up):
+        self.clock.t = t
+        (self.sas.activate if up else self.sas.deactivate)(sent)
+        (self.oracle.activate if up else self.oracle.deactivate)(sent)
+
+
+def answers(watcher, end):
+    return (
+        watcher.satisfied,
+        watcher.transitions,
+        watcher.satisfied_time,
+        watcher.closed_intervals(end),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -80,9 +104,9 @@ def test_duplicate_at_later_time_gets_own_watcher():
     s1 = eng.subscribe(q, now=5.0)
     s2 = eng.subscribe(q, now=8.0)
     assert s2 is not s1
-    assert s2.watcher.satisfied and s2.watcher.satisfied_since == 8.0
-    assert s1.watcher.total_satisfied_time(13.0) == 8.0
-    assert s2.watcher.total_satisfied_time(13.0) == 5.0  # dedicated-watcher value
+    assert s2.satisfied and s2.satisfied_since == 8.0
+    assert s1.total_satisfied_time(13.0) == 8.0
+    assert s2.total_satisfied_time(13.0) == 5.0  # dedicated-watcher value
     # a duplicate at the same instant still shares
     s3 = eng.subscribe(q, now=8.0)
     assert s3 is s2
@@ -96,25 +120,10 @@ def test_duplicate_after_history_gets_own_watcher():
     sas.activate(A_SUM)
     s2 = eng.subscribe(q, now=sas.clock())
     assert s2 is not s1  # sharing would inherit s1's earlier history
-    assert s2.watcher.satisfied
+    assert s2.satisfied
 
 
-def test_subsumption_lattice_edges():
-    eng = MultiQuestionEngine()
-    broad = SentencePattern("Sum", ())
-    narrow = SentencePattern("Sum", ("A",))
-    narrower = SentencePattern("Sum", ("A", "B"))
-    eng.subscribe(QAtom(broad))
-    eng.subscribe(QAtom(narrow))
-    eng.subscribe(QAtom(narrower))
-    by_pattern = {node.pattern: node for node in eng.nodes}
-    b, n, nn = by_pattern[broad], by_pattern[narrow], by_pattern[narrower.canonical()]
-    assert n.pid in b.children
-    assert nn.pid in n.children
-    assert b.pid in n.parents
-
-
-def test_lattice_prunes_matching(monkeypatch):
+def test_index_buckets_prune_matching(monkeypatch):
     eng = MultiQuestionEngine()
     eng.subscribe(QAtom(SentencePattern("Sum", ())))
     eng.subscribe(QAtom(SentencePattern("Sum", ("A",))))
@@ -127,25 +136,41 @@ def test_lattice_prunes_matching(monkeypatch):
         return orig(self, sent)
 
     monkeypatch.setattr(SentencePattern, "matches", counting)
-    # noun A is one of the nodes' discriminator keys, but the broad root
-    # {Sum} fails on the verb, so neither child is ever tested
+    # noun A keys the bucket of {A Sum} and {A B Sum}: only those two are
+    # tested; {Sum} (keyed by its verb) is never tested against Executes
     a_exec = sentence(EXEC, Noun("A", "HPF"))
     eng.transition(a_exec, True, 1.0)
-    assert len(calls) == 1
+    assert sorted(str(p) for p in calls) == ["{A B Sum}", "{A Sum}"]
     calls.clear()
-    eng.transition(a_exec, False, 2.0)  # memoized: no pattern tests at all
+    eng.transition(a_exec, False, 2.0)  # cached: no pattern tests at all
     assert len(calls) == 0
-    # a sentence carrying none of the nodes' discriminators skips the
-    # lattice without a single pattern test (candidate-key routing)
+    # a sentence carrying none of the buckets' keys is rejected without a
+    # single pattern test
     eng.transition(P_SEND, True, 3.0)
     assert len(calls) == 0
 
 
+def test_detach_releases_unshared_nodes():
+    eng = MultiQuestionEngine()
+    shared = SentencePattern("Sum", ("A",))
+    w1 = eng.attach(PerformanceQuestion("q1", (shared, SentencePattern("Executes", ()))))
+    w2 = eng.attach(QOr((QAtom(shared), QAtom(SentencePattern("Send", ())))))
+    assert w1 is not w2 and len(eng.nodes) == 3
+    eng.detach(w1)
+    assert sorted(str(n.pattern) for n in eng.nodes) == ["{A Sum}", "{Send}"]
+    eng.transition(A_SUM, True, 1.0)
+    assert w2.satisfied and not w1.satisfied
+    eng.detach(w2)
+    assert eng.nodes == () and eng.subscriptions == ()
+
+
 # ----------------------------------------------------------------------
-# differential vs dedicated QuestionWatchers
+# differential: dedicated SAS watchers, shared subscriptions and the
+# full-rescan oracle
 # ----------------------------------------------------------------------
 def test_matches_live_watchers_exactly():
     clock, sas, eng = make_pair()
+    live = Mirrored(sas, clock)
     questions = [
         PerformanceQuestion("conj", (SentencePattern("Sum", ("A",)),
                                      SentencePattern("Executes", ()))),
@@ -158,6 +183,7 @@ def test_matches_live_watchers_exactly():
     ]
     watchers = [sas.attach_question(q) for q in questions]
     subs = [eng.subscribe(q, name=f"q{i}") for i, q in enumerate(questions)]
+    oracle = [live.oracle.attach_question(q) for q in questions]
     script = [
         (1.0, A_SUM, True), (2.0, LINE, True), (3.0, P_SEND, True),
         (4.0, A_SUM, False), (5.0, AB_SUM, True), (6.0, LINE, False),
@@ -165,33 +191,27 @@ def test_matches_live_watchers_exactly():
         (10.0, P_SEND, True),
     ]
     for t, sent, up in script:
-        clock.t = t
-        (sas.activate if up else sas.deactivate)(sent)
-    for w, sub in zip(watchers, subs, strict=True):
-        mw = sub.watcher
-        assert (w.satisfied, w.transitions, w.satisfied_time) == (
-            mw.satisfied, mw.transitions, mw.satisfied_time
-        )
-        assert w.total_satisfied_time(11.0) == mw.total_satisfied_time(11.0)
+        live.notify(t, sent, up)
+    for w, sub, ref in zip(watchers, subs, oracle, strict=True):
+        assert answers(w, 11.0) == answers(sub, 11.0) == answers(ref, 11.0)
+        assert w.total_satisfied_time(11.0) == ref.total_satisfied_time(11.0)
 
 
 def test_nested_reactivation_is_ignored():
     clock, sas, eng = make_pair()
+    live = Mirrored(sas, clock)
     q = QAtom(SentencePattern("Sum", ("A",)))
     w = sas.attach_question(q)
     sub = eng.subscribe(q, name="q")
-    clock.t = 1.0
-    sas.activate(A_SUM)
-    clock.t = 2.0
-    sas.activate(A_SUM)  # nested: no membership change
-    clock.t = 3.0
-    sas.deactivate(A_SUM)  # still active (depth 1)
-    assert sub.watcher.satisfied and w.satisfied
-    assert sub.watcher.transitions == w.transitions == 1
-    clock.t = 4.0
-    sas.deactivate(A_SUM)
-    assert not sub.watcher.satisfied
-    assert sub.watcher.satisfied_time == w.satisfied_time == 3.0
+    ref = live.oracle.attach_question(q)
+    live.notify(1.0, A_SUM, True)
+    live.notify(2.0, A_SUM, True)  # nested: no membership change
+    live.notify(3.0, A_SUM, False)  # still active (depth 1)
+    assert sub.satisfied and w.satisfied and ref.satisfied
+    assert sub.transitions == w.transitions == ref.transitions == 1
+    live.notify(4.0, A_SUM, False)
+    assert not sub.satisfied
+    assert sub.satisfied_time == w.satisfied_time == ref.satisfied_time == 3.0
 
 
 def test_attach_midrun_seeds_membership():
@@ -205,53 +225,84 @@ def test_attach_midrun_seeds_membership():
     eng = MultiQuestionEngine()
     eng.attach_sas(sas)
     sub = eng.subscribe(QAtom(SentencePattern("Sum", ("A",))), now=sas.clock())
-    assert sub.watcher.satisfied and sub.watcher.satisfied_since == 2.0
+    assert sub.satisfied and sub.satisfied_since == 2.0
     clock.t = 3.0
     sas.deactivate(A_SUM)  # depth 2 -> 1: still satisfied
-    assert sub.watcher.satisfied
+    assert sub.satisfied
     clock.t = 4.0
     sas.deactivate(A_SUM)
-    assert not sub.watcher.satisfied
-    assert sub.watcher.satisfied_time == 2.0
+    assert not sub.satisfied
+    assert sub.satisfied_time == 2.0
+
+
+def test_attach_reevaluates_earlier_subscriptions():
+    # a subscription made before attach_sas was evaluated on no membership;
+    # the attach re-evaluates it at the SAS's time, so it (and a duplicate
+    # subscribed right after, which shares it) reflects the SAS's state
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    clock.t = 2.0
+    sas.activate(A_SUM)
+    eng = MultiQuestionEngine()
+    q = QAtom(SentencePattern("Sum", ("A",)))
+    early = eng.subscribe(q, now=2.0)
+    assert not early.satisfied
+    eng.attach_sas(sas)
+    assert early.satisfied and early.satisfied_since == 2.0
+    assert eng.subscribe(q, now=2.0) is early
+    clock.t = 5.0
+    sas.deactivate(A_SUM)
+    assert early.closed_intervals(6.0) == [(2.0, 5.0)]
 
 
 def test_ordered_midrun_reuses_boolean_nodes_correctly():
     # nodes first referenced only by boolean questions do not maintain
     # activation entries; an OrderedQuestion subscribed mid-run that reuses
     # them must still see the true activation history (rebuilt from live
-    # membership), matching a dedicated QuestionWatcher attached at the
-    # same moment
+    # membership), matching a dedicated watcher and the oracle attached at
+    # the same moment
     clock, sas, eng = make_pair()
+    live = Mirrored(sas, clock)
     pat_a = SentencePattern("Sum", ("A",))
     pat_exec = SentencePattern("Executes", ())
     eng.subscribe(QAtom(pat_a), name="bool_a")
     eng.subscribe(QAtom(pat_exec), name="bool_exec")
-    clock.t = 1.0
-    sas.activate(A_SUM)
-    clock.t = 2.0
-    sas.activate(LINE)
+    live.notify(1.0, A_SUM, True)
+    live.notify(2.0, LINE, True)
     q = OrderedQuestion("ord", (pat_a, pat_exec))
     dedicated = sas.attach_question(q)
     sub = eng.subscribe(q, now=sas.clock())
+    ref = live.oracle.attach_question(q)
     assert dedicated.satisfied  # A (1.0) precedes Executes (2.0)
-    assert sub.watcher.satisfied
+    assert sub.satisfied and ref.satisfied
     script = [
         (3.0, A_SUM, False), (4.0, A_SUM, True),   # order now violated
         (5.0, LINE, False), (6.0, LINE, True),     # order restored
     ]
     for t, sent, up in script:
-        clock.t = t
-        (sas.activate if up else sas.deactivate)(sent)
-        assert sub.watcher.satisfied == dedicated.satisfied
-    assert (dedicated.transitions, dedicated.satisfied_time) == (
-        sub.watcher.transitions, sub.watcher.satisfied_time
-    )
+        live.notify(t, sent, up)
+        assert sub.satisfied == dedicated.satisfied == ref.satisfied
+    assert answers(dedicated, 7.0) == answers(sub, 7.0) == answers(ref, 7.0)
 
 
 def test_deactivate_unknown_raises():
     eng = MultiQuestionEngine()
     with pytest.raises(ValueError):
         eng.transition(A_SUM, False, 1.0)
+
+
+def test_one_membership_source():
+    # an engine following a SAS reads the SAS's membership: feeding it a
+    # transition directly, or making it follow a second source, raises
+    _, sas, eng = make_pair()
+    with pytest.raises(RuntimeError):
+        eng.transition(A_SUM, True, 1.0)
+    with pytest.raises(RuntimeError):
+        eng.attach_sas(ActiveSentenceSet())
+    replayed = MultiQuestionEngine()
+    replayed.transition(A_SUM, True, 1.0)
+    with pytest.raises(RuntimeError):
+        replayed.attach_sas(sas)
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +325,7 @@ def test_interval_callbacks_fire_on_close():
     eng = MultiQuestionEngine()
     sub = eng.subscribe(QAtom(SentencePattern("Sum", ())), name="q")
     seen = []
-    sub.watcher.on_interval.append(lambda s, e: seen.append((s, e)))
+    sub.on_interval.append(lambda s, e: seen.append((s, e)))
     eng.transition(A_SUM, True, 1.0)
     eng.transition(A_SUM, False, 4.0)
     assert seen == [(1.0, 4.0)]

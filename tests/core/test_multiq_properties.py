@@ -1,20 +1,25 @@
-"""Hypothesis property suite: the batch engine vs the naive per-question oracle.
+"""Hypothesis property suite: the question engine vs the full-rescan oracle.
 
 For random question batches (QExpr trees with QNot, conjunctions, ordered
-questions, plus subsumption-collapsed duplicates) and random valid
-transition streams, every question's satisfied intervals, transition count,
-and accumulated satisfied-time from the shared
-:class:`~repro.core.multiq.MultiQuestionEngine` must equal a naive oracle
-that re-evaluates ``QExpr.evaluate`` / ``satisfied`` over the full active
-set after every membership change -- the engine's dirty bits, lattice
-pruning, memoized matching, and subscription dedup must all be
-pure optimizations.
+questions, plus duplicates and broadened copies sharing their patterns) and
+random valid transition streams, every question's satisfied intervals,
+transition count, and accumulated satisfied-time from the
+:class:`~repro.core.multiq.MultiQuestionEngine` must equal those of
+``tests/core/naive_sas.py``'s :class:`NaiveActiveSentenceSet`, which
+re-evaluates ``QExpr.evaluate`` / ``satisfied`` over the full active set
+after every notification -- the engine's watched components, index buckets,
+cached matching, and subscription dedup must all be pure optimizations.
+The engine is driven both ways it can be fed: by :meth:`transition`
+(trace replay) and by following a live :class:`ActiveSentenceSet`
+(``attach_sas`` and the SAS's own ``attach_question`` watchers), with
+questions attached at the start and mid-run.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ActiveSentenceSet,
     MultiQuestionEngine,
     Noun,
     OrderedQuestion,
@@ -27,6 +32,7 @@ from repro.core import (
     Verb,
     sentence,
 )
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 VERBS = ["V0", "V1", "V2"]
 NOUNS = ["N0", "N1", "N2", "N3"]
@@ -82,46 +88,9 @@ scripts = st.lists(
 )
 
 
-class NaiveWatcher:
-    """QuestionWatcher's accumulation rule, driven by full re-evaluation."""
-
-    def __init__(self):
-        self.satisfied = False
-        self.satisfied_since = 0.0
-        self.satisfied_time = 0.0
-        self.transitions = 0
-        self.intervals = []
-
-    def apply(self, new, now):
-        if new == self.satisfied:
-            return
-        self.transitions += 1
-        self.satisfied = new
-        if new:
-            self.satisfied_since = now
-        else:
-            self.satisfied_time += now - self.satisfied_since
-            self.intervals.append((self.satisfied_since, now))
-
-    def closed_intervals(self, end):
-        out = list(self.intervals)
-        if self.satisfied:
-            out.append((self.satisfied_since, end))
-        return out
-
-
-def naive_eval(question, active_with_times):
-    active = [s for s, _ in active_with_times]
-    if isinstance(question, OrderedQuestion):
-        return question.satisfied(active_with_times)
-    if isinstance(question, PerformanceQuestion):
-        return question.satisfied(active)
-    return question.evaluate(active)
-
-
 def with_duplicates(batch):
     """The engine-facing batch: every question twice (dedup must collapse
-    them), plus a broadened copy of each conjunction (subsumption edges)."""
+    them), plus a broadened copy of each conjunction (shared nodes)."""
     out = list(batch)
     out.extend(batch)
     for q in batch:
@@ -133,47 +102,49 @@ def with_duplicates(batch):
     return out
 
 
+class Stepper:
+    """Resolves script steps to valid notifications at times 1, 2, 3, ...
+
+    The oracle SAS decides each step: a sentence active at any depth is
+    deactivated unless the step prefers nesting, otherwise it is activated
+    (nested when already active).  ``feed(sent, up, t)`` passes the same
+    notification to the system under test.
+    """
+
+    def __init__(self, feed):
+        self.t = 0.0
+        self.oracle = NaiveActiveSentenceSet(clock=lambda: self.t)
+        self.feed = feed
+
+    def step(self, idx, prefer_nested):
+        sent = SENTENCES[idx]
+        up = not (self.oracle.activation_depth(sent) and not prefer_nested)
+        self.t += 1.0
+        self.feed(sent, up, self.t)
+        (self.oracle.activate if up else self.oracle.deactivate)(sent)
+
+
+def assert_same_answers(pairs, end):
+    for watcher, reference in pairs:
+        assert watcher.satisfied == reference.satisfied
+        assert watcher.transitions == reference.transitions
+        assert watcher.satisfied_time == reference.satisfied_time  # exact
+        assert watcher.closed_intervals(end) == reference.closed_intervals(end)
+
+
 @given(st.lists(questions, min_size=1, max_size=5), scripts)
 @settings(max_examples=150, deadline=None)
 def test_engine_equals_naive_oracle(batch, script):
     engine = MultiQuestionEngine()
-    subs = [engine.subscribe(q, name=f"q{i}") for i, q in enumerate(with_duplicates(batch))]
-
-    oracle = [NaiveWatcher() for _ in subs]
-    oracle_qs = with_duplicates(batch)
-    for w, q in zip(oracle, oracle_qs, strict=True):
-        w.apply(naive_eval(q, []), 0.0)
-
-    depth = {}
-    active = []  # (sentence, outermost activation time), activation order
-    t = 0.0
+    run = Stepper(engine.transition)
+    qs = with_duplicates(batch)
+    pairs = [
+        (engine.subscribe(q, name=f"q{i}"), run.oracle.attach_question(q))
+        for i, q in enumerate(qs)
+    ]
     for idx, prefer_nested in script:
-        sent = SENTENCES[idx]
-        t += 1.0
-        if depth.get(sent, 0) and not prefer_nested:
-            d = depth[sent] - 1
-            depth[sent] = d
-            engine.transition(sent, False, t)
-            if d == 0:
-                active = [(s, at) for s, at in active if s != sent]
-        else:
-            d = depth.get(sent, 0)
-            depth[sent] = d + 1
-            engine.transition(sent, True, t)
-            if d == 0:
-                active.append((sent, t))
-            else:
-                continue  # nested re-activation: no membership change
-        for w, q in zip(oracle, oracle_qs, strict=True):
-            w.apply(naive_eval(q, active), t)
-
-    end = t + 1.0
-    for sub, w in zip(subs, oracle, strict=True):
-        mw = sub.watcher
-        assert mw.satisfied == w.satisfied
-        assert mw.transitions == w.transitions
-        assert mw.satisfied_time == w.satisfied_time  # exact, not approx
-        assert mw.closed_intervals(end) == w.closed_intervals(end)
+        run.step(idx, prefer_nested)
+    assert_same_answers(pairs, run.t + 1.0)
 
 
 @given(
@@ -191,34 +162,9 @@ def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split):
     engine = MultiQuestionEngine()
     for i, q in enumerate(with_duplicates(warmup)):
         engine.subscribe(q, name=f"w{i}")
-
-    depth = {}
-    active = []  # (sentence, outermost activation time), activation order
-    t = 0.0
-
-    def drive(part):
-        """Feed transitions; yield ``t`` after each membership change."""
-        nonlocal t
-        for idx, prefer_nested in part:
-            sent = SENTENCES[idx]
-            t += 1.0
-            if depth.get(sent, 0) and not prefer_nested:
-                d = depth[sent] - 1
-                depth[sent] = d
-                engine.transition(sent, False, t)
-                if d == 0:
-                    active[:] = [(s, at) for s, at in active if s != sent]
-                    yield t
-            else:
-                d = depth.get(sent, 0)
-                depth[sent] = d + 1
-                engine.transition(sent, True, t)
-                if d == 0:
-                    active.append((sent, t))
-                    yield t
-
-    for _ in drive(script[:split]):
-        pass
+    run = Stepper(engine.transition)
+    for idx, prefer_nested in script[:split]:
+        run.step(idx, prefer_nested)
 
     late_qs = with_duplicates(late)
     # deliberately reuse warmup-interned patterns as ordered questions: the
@@ -229,19 +175,57 @@ def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split):
             late_qs.append(OrderedQuestion("reuse", q.components))
         elif isinstance(q, QAtom):
             late_qs.append(OrderedQuestion("reuse", (q.pattern,)))
-    subs = [engine.subscribe(q, name=f"l{i}", now=t) for i, q in enumerate(late_qs)]
-    oracle = [NaiveWatcher() for _ in subs]
-    for w, q in zip(oracle, late_qs, strict=True):
-        w.apply(naive_eval(q, active), t)
+    pairs = []
+    for i, q in enumerate(late_qs):
+        reference = run.oracle.attach_question(q)
+        pairs.append((engine.subscribe(q, name=f"l{i}", now=run.oracle._now()), reference))
+    for idx, prefer_nested in script[split:]:
+        run.step(idx, prefer_nested)
+    assert_same_answers(pairs, run.t + 1.0)
 
-    for now in drive(script[split:]):
-        for w, q in zip(oracle, late_qs, strict=True):
-            w.apply(naive_eval(q, active), now)
 
-    end = t + 1.0
-    for sub, w in zip(subs, oracle, strict=True):
-        mw = sub.watcher
-        assert mw.satisfied == w.satisfied
-        assert mw.transitions == w.transitions
-        assert mw.satisfied_time == w.satisfied_time
-        assert mw.closed_intervals(end) == w.closed_intervals(end)
+@given(
+    st.lists(questions, min_size=1, max_size=3),
+    st.lists(questions, min_size=1, max_size=3),
+    scripts,
+    st.integers(0, 40),
+    st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_live_sas_engines_equal_naive_oracle(early, late, script, attach_at, late_at):
+    """A live SAS feeds two engines: its own (``attach_question``, dedicated
+    watchers) and one following it (``attach_sas`` at step ``attach_at``,
+    shared subscriptions).  Questions attached at the start, at the
+    ``attach_sas`` step and at step ``late_at`` all match the oracle.  The
+    second engine subscribes ``late`` before ``attach_sas`` too, so the
+    late subscriptions reuse nodes the attach had to recount."""
+
+    def feed(sent, up, t):
+        clock["t"] = t
+        (sas.activate if up else sas.deactivate)(sent)
+
+    clock = {"t": 0.0}
+    sas = ActiveSentenceSet(clock=lambda: clock["t"])
+    run = Stepper(feed)
+    pairs = [(sas.attach_question(q), run.oracle.attach_question(q)) for q in early]
+    engine = None
+
+    def subscribe_all(qs):
+        for q in with_duplicates(qs):
+            reference = run.oracle.attach_question(q)
+            pairs.append((engine.subscribe(q, now=sas._now()), reference))
+
+    for i, step in enumerate(script + [None]):
+        if i == attach_at:
+            engine = MultiQuestionEngine()
+            for q in with_duplicates(late):
+                engine.subscribe(q, now=sas._now())
+            engine.attach_sas(sas)
+            subscribe_all(early)
+        if i == late_at:
+            pairs.extend((sas.attach_question(q), run.oracle.attach_question(q)) for q in late)
+            if engine is not None:
+                subscribe_all(late)
+        if step is not None:
+            run.step(*step)
+    assert_same_answers(pairs, run.t + 1.0)

@@ -129,12 +129,12 @@ def test_watcher_open_interval_counted_by_total():
 def test_watcher_callbacks_fire():
     sas = ActiveSentenceSet()
     w = sas.attach_question(QAtom(SentencePattern("Sum", ("A",))))
-    events = []
-    w.on_satisfied.append(lambda t: events.append(("on", t)))
-    w.on_unsatisfied.append(lambda t: events.append(("off", t)))
+    closed = []
+    w.on_interval.append(lambda start, end: closed.append((start, end)))
     sas.activate(A_SUM)
+    assert closed == [] and w.closed_intervals(5.0) == [(1.0, 5.0)]
     sas.deactivate(A_SUM)
-    assert [e[0] for e in events] == ["on", "off"]
+    assert closed == w.closed_intervals(5.0) == [(1.0, 2.0)]
 
 
 def test_question_attached_against_existing_state():

@@ -1,11 +1,12 @@
-"""Differential oracle: indexed SAS engine vs the naive reference engine.
+"""Differential oracle: the SAS's question engine vs the full-rescan reference.
 
 Replays seeded random event traces (``repro.workloads.generators``) through
-:class:`ActiveSentenceSet` (pattern-indexed, incremental) and
-:class:`NaiveActiveSentenceSet` (full rescan per notification) and asserts
-the two are *observably identical*:
+:class:`ActiveSentenceSet` (questions on the incremental
+:class:`~repro.core.multiq.MultiQuestionEngine`) and
+:class:`NaiveActiveSentenceSet` (a standalone SAS rescanning every question
+per notification) and asserts the two are *observably identical*:
 
-* every watcher's transition sequence (direction + time), transition count,
+* every watcher's satisfied intervals (the on/off times), transition count,
   final satisfied flag, and accumulated satisfied time;
 * notification and ignored-notification counters;
 * the active membership (sentences, order, depths, outermost times);
@@ -50,14 +51,7 @@ def _replay_observed(sas_factory, pool_seed, trace_seed, *, events, question_cou
         kwargs["vocabulary"] = vocab
     sas = sas_factory(**kwargs)
 
-    transitions = {}  # watcher index -> [(direction, time), ...]
-    watchers = []
-    for i, q in enumerate(questions):
-        w = sas.attach_question(q)
-        watchers.append(w)
-        log = transitions.setdefault(i, [])
-        w.on_satisfied.append(lambda t, log=log: log.append(("on", t)))
-        w.on_unsatisfied.append(lambda t, log=log: log.append(("off", t)))
+    watchers = [sas.attach_question(q) for q in questions]
 
     recorder = None
     if mappings:
@@ -70,8 +64,9 @@ def _replay_observed(sas_factory, pool_seed, trace_seed, *, events, question_cou
         else:
             sas.deactivate(sent)
 
+    end = float(len(trace) + 1)
     return {
-        "transitions": transitions,
+        "intervals": [w.closed_intervals(end) for w in watchers],
         "watcher_state": [
             (w.satisfied, w.transitions, round(w.satisfied_time, 9)) for w in watchers
         ],
@@ -163,16 +158,18 @@ def test_detach_question_unregisters_from_index():
     watchers = [sas.attach_question(q) for q in questions]
     for sent in pool[1:6]:
         sas.activate(sent)
-    slots = list(sas._slots.values())
-    assert any(slot.holding for slot in slots) and any(slot.parked for slot in slots)
+    engine = sas._engine
+    nodes = list(engine.nodes)
+    assert any(node.holding for node in nodes) and any(node.parked for node in nodes)
     for w in watchers:
         sas.detach_question(w)
-    assert sas.watchers == []
-    assert not sas._watch_index
-    assert not sas._watch_all
-    # the conjunction pattern table and every parked/holding list are empty
-    assert not sas._slots and not sas._slot_index and not sas._slot_cache
-    assert all(not slot.parked and not slot.holding for slot in slots)
+    assert engine.subscriptions == ()
+    # the pattern table and every parked/holding/expr/ordered list are empty
+    assert engine.nodes == ()
+    assert all(
+        not (node.parked or node.holding or node.exprs or node.ordered or node.entries)
+        for node in nodes
+    )
     # transitions after detach touch nobody
     before = [w.transitions for w in watchers]
     sas.activate(pool[0])
@@ -236,9 +233,10 @@ def _replay_schedule(engine, ops):
     sas = engine()
     live = {}
     observed = {}
+    end = float(len(ops) + 1)
 
-    def state(w, log):
-        return (log, w.satisfied, w.transitions, round(w.satisfied_time, 9))
+    def state(w, attached):
+        return (attached, w.closed_intervals(end), w.transitions, round(w.satisfied_time, 9))
 
     for op, arg, payload in ops:
         if op == "event":
@@ -248,16 +246,13 @@ def _replay_schedule(engine, ops):
                 sas.deactivate(payload)
         elif op == "attach":
             w = sas.attach_question(payload)
-            log = [("attach", w.satisfied)]
-            w.on_satisfied.append(lambda t, log=log: log.append(("on", t)))
-            w.on_unsatisfied.append(lambda t, log=log: log.append(("off", t)))
-            live[arg] = (w, log)
+            live[arg] = (w, w.satisfied)
         else:
-            w, log = live.pop(arg)
+            w, attached = live.pop(arg)
             sas.detach_question(w)
-            observed[arg] = state(w, log)
-    for key, (w, log) in live.items():
-        observed[key] = state(w, log)
+            observed[arg] = state(w, attached)
+    for key, (w, attached) in live.items():
+        observed[key] = state(w, attached)
     return observed, sas.active_with_times()
 
 

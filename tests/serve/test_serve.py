@@ -375,19 +375,18 @@ def test_live_db_source_never_rejects_as_dead():
 
 
 def test_engine_dead_subscriptions_names():
-    from repro.core import MultiQuestionEngine, SentencePattern
+    from repro.core import Sentence, SentencePattern
     from repro.core.nouns import Noun, Verb
-    from repro.core import Sentence
+    from repro.core.questions import table_dead_patterns
 
-    engine = MultiQuestionEngine()
-    engine.subscribe(
-        PerformanceQuestion("live", (SentencePattern("Works", ("blk",)),))
-    )
-    engine.subscribe(
-        PerformanceQuestion("dead", (SentencePattern("Works", ("ghost",)),))
-    )
+    ghost = SentencePattern("Works", ("ghost",))
+    questions = [
+        PerformanceQuestion("live", (SentencePattern("Works", ("blk",)),)),
+        PerformanceQuestion("dead", (ghost,)),
+    ]
     table = [Sentence(Verb("Works", "Base"), (Noun("blk", "Base"),))]
-    assert engine.dead_subscriptions(table) == ["dead"]
+    assert [q.name for q in questions if table_dead_patterns(q, table)] == ["dead"]
+    assert table_dead_patterns(questions[1], table) == [ghost]
 
 
 # ----------------------------------------------------------------------

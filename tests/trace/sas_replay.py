@@ -1,24 +1,25 @@
-"""Reference post-mortem evaluator: a full replay through SAS watchers.
+"""Reference post-mortem evaluator: a full replay through the full-rescan SAS.
 
 Every recorded transition (optionally only one node's) is fed, in recorded
-order and at its recorded time, into an indexed
-:class:`~repro.core.sas.ActiveSentenceSet` with one dedicated
-:class:`~repro.core.sas.QuestionWatcher` per question -- no sentence-id
-pushdown, no shared engine.  Open satisfied intervals close at
+order and at its recorded time, into the reference
+:class:`~tests.core.naive_sas.NaiveActiveSentenceSet` with one watcher per
+question -- no sentence-id pushdown, no question engine, every question
+re-evaluated over the whole active set.  Open satisfied intervals close at
 ``end_time`` (default: the last replayed event's time).  The shipped
 batch evaluator must reproduce these answers byte for byte.
 """
 
 from __future__ import annotations
 
-from repro.core import ActiveSentenceSet, EventKind
+from repro.core import EventKind
 from repro.core.multiq import question_name
 from repro.trace.retro import RetroAnswer
+from tests.core.naive_sas import NaiveActiveSentenceSet
 
 
 def sas_replay(source, questions, end_time=None, node=None) -> dict[str, RetroAnswer]:
     now = 0.0
-    sas = ActiveSentenceSet(clock=lambda: now)
+    sas = NaiveActiveSentenceSet(clock=lambda: now)
     watchers = [(question_name(q), sas.attach_question(q)) for q in questions]
     events = source.events() if callable(getattr(source, "events", None)) else source
     for event in events:

@@ -93,10 +93,9 @@ def test_wildcard_question_disables_pushdown_identically(tmp_path):
         assert_identical(sas_replay(reader, qs), evaluate_question_batch(reader, qs))
 
 
-def test_reused_engine_rejected_after_history():
-    # each call builds a fresh engine (one replay per engine: a second
-    # trace fed into the same one would double-count membership), and
-    # every answer of the batch closes at the same end time
+def test_batch_answers_share_one_end_time():
+    # every answer of one batch closes its open interval at the same end
+    # time (each call builds a fresh engine, so nothing carries over)
     trace = random_trace(1, events=50, nodes=1, sentences=6)
     qs = questions_for(trace)
     answers = evaluate_question_batch(trace, qs)
